@@ -16,7 +16,6 @@ excluded rather than allowed to amplify roundoff.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .dynamics import FieldConfig, boost_field_config
-from .frames import Boost, FrameMismatchError, Worldline
+from .frames import Boost, Worldline, _boost_velocities, _require_frame, _write_csv
 
 __all__ = [
     "TimeMap",
@@ -91,10 +90,7 @@ def _accumulate(t_prime: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def time_map_kinematic(w_prime: Worldline, b: Boost) -> TimeMap:
     """Time-course map from the worldline's x-velocity: g = gamma*(1 + v0*ux')."""
-    if w_prime.frame_tag != b.frame_prime:
-        raise FrameMismatchError(
-            f"worldline tagged {w_prime.frame_tag!r}, boost expects {b.frame_prime!r}"
-        )
+    _require_frame(w_prime.frame_tag, b.frame_prime, "worldline")
     g = b.gamma * (1.0 + b.v0 * w_prime.u[:, 0])
     return TimeMap(
         t_prime=w_prime.t,
@@ -111,16 +107,9 @@ def time_map_ratio(w_prime: Worldline, b: Boost) -> TimeMap:
     ``u`` is the K-frame velocity obtained by boosting each sample; the
     result is algebraically identical to the kinematic form.
     """
-    if w_prime.frame_tag != b.frame_prime:
-        raise FrameMismatchError(
-            f"worldline tagged {w_prime.frame_tag!r}, boost expects {b.frame_prime!r}"
-        )
+    _require_frame(w_prime.frame_tag, b.frame_prime, "worldline")
     up2 = np.sum(w_prime.u * w_prime.u, axis=1)
-    g_factor = b.gamma
-    denom = 1.0 + b.v0 * w_prime.u[:, 0]
-    ux = (w_prime.u[:, 0] + b.v0) / denom
-    uy = w_prime.u[:, 1] / (g_factor * denom)
-    uz = w_prime.u[:, 2] / (g_factor * denom)
+    ux, uy, uz = _boost_velocities(w_prime.u, b.v0, b.gamma).T
     u2 = ux * ux + uy * uy + uz * uz
     g = np.sqrt((1.0 - up2) / (1.0 - u2))
     return TimeMap(
@@ -149,11 +138,7 @@ def _four_forces_both_frames(w_prime: Worldline, f_prime: FieldConfig, b: Boost)
     num = fp @ L.T
     # denominator: K-frame 4-force on the boosted state in the boosted fields
     f_lab = boost_field_config(f_prime, b, "forward")
-    denom_u = 1.0 + b.v0 * u_p[:, 0]
-    u = np.empty_like(u_p)
-    u[:, 0] = (u_p[:, 0] + b.v0) / denom_u
-    u[:, 1] = u_p[:, 1] / (b.gamma * denom_u)
-    u[:, 2] = u_p[:, 2] / (b.gamma * denom_u)
+    u = _boost_velocities(u_p, b.v0, b.gamma)
     fl = np.empty((len(w_prime), 4))
     fl[:, 0] = u @ f_lab.E
     fl[:, 1:] = f_lab.E + np.cross(u, f_lab.B)
@@ -182,22 +167,18 @@ def _dynamic_ratio_table(
     m0: float,
     e: float,
     threshold: float,
+    spread_tol: float,
     motion_check_tol: float | None,
 ):
     """Shared front half of the dynamic route: per-sample ratio candidates.
 
     Returns (num, denom, defined, ratios, spread) with NaN marking excluded
     (near-degenerate) components.  Raises on frame mismatch, a worldline
-    that does not solve the motion, or an everywhere-degenerate force.
+    that does not solve the motion, an everywhere-degenerate force, or
+    defined components that spread wider than ``spread_tol``.
     """
-    if w_prime.frame_tag != b.frame_prime:
-        raise FrameMismatchError(
-            f"worldline tagged {w_prime.frame_tag!r}, boost expects {b.frame_prime!r}"
-        )
-    if f_prime.frame_tag != w_prime.frame_tag:
-        raise FrameMismatchError(
-            f"fields tagged {f_prime.frame_tag!r}, worldline {w_prime.frame_tag!r}"
-        )
+    _require_frame(w_prime.frame_tag, b.frame_prime, "worldline")
+    _require_frame(f_prime.frame_tag, w_prime.frame_tag, "fields")
     if motion_check_tol is not None:
         _check_solves_motion(w_prime, f_prime, m0, e, motion_check_tol)
     _, num, denom = _four_forces_both_frames(w_prime, f_prime, b)
@@ -214,6 +195,11 @@ def _dynamic_ratio_table(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(defined, num / denom, np.nan)
     spread = np.nanmax(ratios, axis=1) - np.nanmin(ratios, axis=1)
+    worst = float(np.max(spread))
+    if worst > spread_tol:
+        raise TimeMapInconsistencyError(
+            f"4-force component ratios disagree: max spread {worst:.3e} > {spread_tol:.1e}"
+        )
     return num, denom, defined, ratios, spread
 
 
@@ -244,14 +230,9 @@ def time_map_dynamic(
     for a particle (m0, e) in ``f_prime`` (set None to skip); the charge
     cancels in the ratios themselves.
     """
-    num, denom, _, _, spread = _dynamic_ratio_table(
-        w_prime, f_prime, b, m0, e, threshold, motion_check_tol
+    num, denom, _, _, _ = _dynamic_ratio_table(
+        w_prime, f_prime, b, m0, e, threshold, spread_tol, motion_check_tol
     )
-    worst = float(np.max(spread))
-    if worst > spread_tol:
-        raise TimeMapInconsistencyError(
-            f"4-force component ratios disagree: max spread {worst:.3e} > {spread_tol:.1e}"
-        )
     best = np.argmax(np.abs(denom), axis=1)
     rows = np.arange(len(w_prime))
     g = num[rows, best] / denom[rows, best]
@@ -297,19 +278,14 @@ def index_independence_report(
     trades coverage near force nodes for a tighter spread.
     """
     _, _, defined, ratios, spread = _dynamic_ratio_table(
-        w_prime, f_prime, b, m0, e, threshold, motion_check_tol
+        w_prime, f_prime, b, m0, e, threshold, spread_tol, motion_check_tol
     )
-    max_spread = float(np.max(spread))
-    if max_spread > spread_tol:
-        raise TimeMapInconsistencyError(
-            f"4-force component ratios disagree: max spread {max_spread:.3e} > {spread_tol:.1e}"
-        )
     return IndexIndependenceReport(
         t_prime=w_prime.t,
         ratios=ratios,
         spread=spread,
         n_defined=defined.sum(axis=1),
-        max_spread=max_spread,
+        max_spread=float(np.max(spread)),
     )
 
 
@@ -329,10 +305,7 @@ def period_map_numeric(
     integrand is interpolated with a cubic spline, so ``t0_prime`` need not
     sit on a grid point.
     """
-    if w_prime.frame_tag != b.frame_prime:
-        raise FrameMismatchError(
-            f"worldline tagged {w_prime.frame_tag!r}, boost expects {b.frame_prime!r}"
-        )
+    _require_frame(w_prime.frame_tag, b.frame_prime, "worldline")
     if T_prime <= 0.0:
         raise ValueError("period must be positive")
     t = w_prime.t
@@ -364,15 +337,8 @@ def simultaneity_series(w1_prime: Worldline, w2_prime: Worldline, b: Boost) -> n
     equal-t' events maps to K times differing by gamma*v0*(x2' - x1').
     Returns an (n, 2) array of (t', t2 - t1).
     """
-    if w1_prime.frame_tag != w2_prime.frame_tag:
-        raise FrameMismatchError(
-            f"worldlines live in different frames: "
-            f"{w1_prime.frame_tag!r} vs {w2_prime.frame_tag!r}"
-        )
-    if w1_prime.frame_tag != b.frame_prime:
-        raise FrameMismatchError(
-            f"worldlines tagged {w1_prime.frame_tag!r}, boost expects {b.frame_prime!r}"
-        )
+    _require_frame(w1_prime.frame_tag, b.frame_prime, "first worldline")
+    _require_frame(w2_prime.frame_tag, b.frame_prime, "second worldline")
     if w1_prime.t.shape != w2_prime.t.shape or not np.array_equal(w1_prime.t, w2_prime.t):
         raise ValueError("worldlines must be sampled on the same t' grid")
     dt = b.gamma * b.v0 * (w2_prime.r[:, 0] - w1_prime.r[:, 0])
@@ -384,10 +350,4 @@ TIME_MAP_CSV_HEADER = ["t_prime", "g", "t"]
 
 def save_time_map_csv(tm: TimeMap, path) -> None:
     """Write a time map as CSV (t_prime, g, accumulated t), full precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIME_MAP_CSV_HEADER)
-        for i in range(tm.t_prime.shape[0]):
-            writer.writerow(
-                [repr(float(tm.t_prime[i])), repr(float(tm.g[i])), repr(float(tm.t_accumulated[i]))]
-            )
+    _write_csv(path, TIME_MAP_CSV_HEADER, [tm.t_prime, tm.g, tm.t_accumulated])

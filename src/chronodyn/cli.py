@@ -22,10 +22,11 @@ from .chronometry import (
     time_map_kinematic,
     time_map_ratio,
 )
-from .dynamics import FieldConfig, IntegrationError
-from .frames import Boost, load_worldline_csv
+from .dynamics import IntegrationError
+from .frames import FRAME_KPRIME, Boost
 from .scenarios import (
     ScenarioConfigError,
+    _read_worldline_file,
     load_perturb_config,
     load_scenario,
     run_perturb,
@@ -36,6 +37,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+#: Inputs that cannot be used as given: bad configs, sidecars and paths.
+CONFIG_ERRORS = (ScenarioConfigError, OSError)
 
 NUMERIC_ERRORS = (
     DegenerateForceError,
@@ -53,16 +57,7 @@ def _default_out(explicit: str | None) -> Path:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.config)
-    except ScenarioConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summary = run_scenario(scenario, _default_out(args.out))
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    summary = run_scenario(load_scenario(args.config), _default_out(args.out))
     print(json.dumps(summary, indent=2, sort_keys=True, default=float))
     return EXIT_OK
 
@@ -81,48 +76,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_timemap(args: argparse.Namespace) -> int:
-    meta_path = Path(args.worldline).with_suffix(".meta.json")
-    meta = {}
-    if meta_path.exists():
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            print(f"config error: bad sidecar {meta_path}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    v0 = args.v0
+    w, v0, field, m0, e = _read_worldline_file(args.worldline)
+    if args.v0 is not None:
+        v0 = args.v0
     if v0 is None:
-        v0 = meta.get("boost", {}).get("v0")
-    if v0 is None:
-        print("config error: --v0 required (no sidecar value found)", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        w = load_worldline_csv(args.worldline, frame_tag=meta.get("frame_tag", "Kprime"))
-        b = Boost(float(v0), frame_prime=w.frame_tag)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.method == "kinematic":
-            tm = time_map_kinematic(w, b)
-        elif args.method == "ratio":
-            tm = time_map_ratio(w, b)
-        else:
-            fld = meta.get("field")
-            if not fld:
-                print(
-                    "config error: dynamic method needs field data in the sidecar",
-                    file=sys.stderr,
-                )
-                return EXIT_CONFIG
-            field = FieldConfig(E=fld["E"], B=fld["B"], frame_tag=w.frame_tag)
-            particle = meta.get("particle", {})
-            tm = time_map_dynamic(
-                w, field, b,
-                m0=float(particle.get("m0", 1.0)), e=float(particle.get("e", 1.0)),
-            )
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise ScenarioConfigError("--v0 required (no sidecar value found)")
+    if not abs(v0) < 1.0:
+        raise ScenarioConfigError(f"v0: |v0| must be < 1, got {v0}")
+    # K' files map forward (dt/dt'); K files map back to K' (dt'/dt)
+    b = Boost(v0) if w.frame_tag == FRAME_KPRIME else Boost(v0).inverse()
+    if args.method == "kinematic":
+        tm = time_map_kinematic(w, b)
+    elif args.method == "ratio":
+        tm = time_map_ratio(w, b)
+    else:
+        if field is None:
+            raise ScenarioConfigError("dynamic method needs field data in the sidecar")
+        tm = time_map_dynamic(w, field, b, m0=m0, e=e)
     out_dir = _default_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "timemap.csv"
@@ -132,19 +102,7 @@ def _cmd_timemap(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_perturb_config(args.config)
-    except ScenarioConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summary = run_perturb(cfg, _default_out(args.out))
-    except ScenarioConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    summary = run_perturb(load_perturb_config(args.config), _default_out(args.out))
     print(json.dumps(summary, indent=2, sort_keys=True, default=float))
     return EXIT_OK
 
@@ -184,7 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CONFIG_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NUMERIC_ERRORS as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

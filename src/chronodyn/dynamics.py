@@ -16,8 +16,8 @@ import numpy as np
 from .frames import (
     FRAME_KPRIME,
     Boost,
-    FrameMismatchError,
     Worldline,
+    _require_frame,
     boost_field_tensor,
 )
 
@@ -93,10 +93,7 @@ class FieldConfig:
 def boost_field_config(f: FieldConfig, b: Boost, direction: str = "forward") -> FieldConfig:
     """Express a homogeneous field configuration in the boost's other frame."""
     _, src, dst = b._oriented(direction)
-    if f.frame_tag != src:
-        raise FrameMismatchError(
-            f"fields tagged {f.frame_tag!r} but {direction} boost maps from {src!r}"
-        )
+    _require_frame(f.frame_tag, src, f"fields for the {direction} boost")
     return FieldConfig.from_tensor(boost_field_tensor(f.tensor(), b, direction), dst)
 
 
@@ -159,10 +156,7 @@ class IntegratorConfig:
 
 def lorentz_force(s: ParticleState, f: FieldConfig) -> np.ndarray:
     """Momentum rate dp/dt = e*E + e*(u x B)."""
-    if s.frame_tag != f.frame_tag:
-        raise FrameMismatchError(
-            f"state in {s.frame_tag!r} but fields in {f.frame_tag!r}"
-        )
+    _require_frame(f.frame_tag, s.frame_tag, "fields")
     return s.e * (f.E + np.cross(s.u, f.B))
 
 
@@ -217,10 +211,7 @@ def integrate(s0: ParticleState, f: FieldConfig, cfg: IntegratorConfig) -> World
     conserves energy to roundoff in a pure magnetic field.  Every step is
     checked for finiteness (a blow-up names the offending quantity).
     """
-    if s0.frame_tag != f.frame_tag:
-        raise FrameMismatchError(
-            f"state in {s0.frame_tag!r} but fields in {f.frame_tag!r}"
-        )
+    _require_frame(f.frame_tag, s0.frame_tag, "fields")
     step = _rk4_step if cfg.method == "rk4" else _boris_step
     n = cfg.n_steps
     t = s0.t + cfg.dt * np.arange(n + 1)
@@ -265,10 +256,7 @@ def energy_audit(w: Worldline, f: FieldConfig, m0: float, e: float) -> EnergyAud
     worldline honors that.  Magnetic fields do no work, so with E_field = 0
     the potential vanishes and the energy itself must stay put.
     """
-    if w.frame_tag != f.frame_tag:
-        raise FrameMismatchError(
-            f"worldline in {w.frame_tag!r} but fields in {f.frame_tag!r}"
-        )
+    _require_frame(f.frame_tag, w.frame_tag, "fields")
     if m0 <= 0.0:
         raise ValueError("rest mass must be positive")
     u2 = np.sum(w.u * w.u, axis=1)

@@ -15,7 +15,6 @@ and "inverse" applies the sign-flipped boost.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -51,6 +50,12 @@ class FrameMismatchError(ValueError):
     """An operation received coordinates tagged with the wrong frame."""
 
 
+def _require_frame(got: str, want: str, what: str) -> None:
+    """Raise :class:`FrameMismatchError` unless ``what``, tagged ``got``, is in ``want``."""
+    if got != want:
+        raise FrameMismatchError(f"{what} tagged {got!r}, expected {want!r}")
+
+
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
@@ -58,6 +63,26 @@ def _as_vec3(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector components must be finite")
     return v
+
+
+def _boost_coords(t, r: np.ndarray, v0: float, g: float):
+    """Coordinate boost of times ``t`` (...) and positions ``r`` (..., 3)."""
+    t_new = g * (t + v0 * r[..., 0])
+    r_new = r.copy()
+    r_new[..., 0] = g * (r[..., 0] + v0 * t)
+    return t_new, r_new
+
+
+def _boost_velocities(u: np.ndarray, v0: float, g: float) -> np.ndarray:
+    """Velocity boost of ``u`` (..., 3) with Lorentz factor ``g`` of ``v0``.
+
+    The x-component follows velocity addition; the transverse components
+    pick up the 1/(g*(1 + v0*ux)) time-dilation factor.
+    """
+    denom = 1.0 + v0 * u[..., 0]
+    out = u / (g * denom)[..., None]
+    out[..., 0] = (u[..., 0] + v0) / denom
+    return out
 
 
 def lorentz_gamma(v0: float) -> float:
@@ -91,10 +116,7 @@ class Event:
 
 def interval_squared(e1: Event, e2: Event) -> float:
     """Invariant interval s^2 = dt^2 - |dr|^2 between two events of one frame."""
-    if e1.frame_tag != e2.frame_tag:
-        raise FrameMismatchError(
-            f"events live in different frames: {e1.frame_tag!r} vs {e2.frame_tag!r}"
-        )
+    _require_frame(e2.frame_tag, e1.frame_tag, "second event")
     dt = e2.t - e1.t
     dr = e2.r - e1.r
     return dt * dt - float(dr @ dr)
@@ -117,6 +139,8 @@ class Boost:
     def __post_init__(self):
         object.__setattr__(self, "v0", float(self.v0))
         lorentz_gamma(self.v0)  # validates |v0| < 1
+        if self.frame_prime == self.frame_lab:
+            raise ValueError(f"a boost needs two distinct frames, got {self.frame_prime!r} twice")
 
     @property
     def gamma(self) -> float:
@@ -151,14 +175,8 @@ def boost_event(e: Event, b: Boost, direction: str = "forward") -> Event:
     The returned event carries the target frame's tag.
     """
     v0, src, dst = b._oriented(direction)
-    if e.frame_tag != src:
-        raise FrameMismatchError(
-            f"event tagged {e.frame_tag!r} but {direction} boost maps from {src!r}"
-        )
-    g = b.gamma
-    t = g * (e.t + v0 * e.r[0])
-    r = e.r.copy()
-    r[0] = g * (e.r[0] + v0 * e.t)
+    _require_frame(e.frame_tag, src, f"event for the {direction} boost")
+    t, r = _boost_coords(e.t, e.r, v0, b.gamma)
     return Event(t=t, r=r, frame_tag=dst)
 
 
@@ -166,8 +184,7 @@ def velocity_addition_x(ux_prime: float, v0: float) -> float:
     """x-velocity seen from K for a particle with x-velocity ``ux_prime`` in K'."""
     if not abs(ux_prime) <= 1.0:
         raise ValueError(f"|ux_prime| must be <= 1, got {ux_prime}")
-    lorentz_gamma(v0)
-    return (ux_prime + v0) / (1.0 + ux_prime * v0)
+    return float(_boost_velocities(np.array([ux_prime, 0.0, 0.0]), v0, lorentz_gamma(v0))[0])
 
 
 def velocity_boost(u_prime, b: Boost, direction: str = "forward") -> np.ndarray:
@@ -183,13 +200,7 @@ def velocity_boost(u_prime, b: Boost, direction: str = "forward") -> np.ndarray:
     if not speed < 1.0:
         raise ValueError(f"|u| must be < 1 for a massive particle, got {speed}")
     v0, _, _ = b._oriented(direction)
-    g = b.gamma
-    denom = 1.0 + v0 * u[0]
-    out = np.empty(3)
-    out[0] = (u[0] + v0) / denom
-    out[1] = u[1] / (g * denom)
-    out[2] = u[2] / (g * denom)
-    return out
+    return _boost_velocities(u, v0, b.gamma)
 
 
 def kinematic_g(ux_prime: float, b: Boost) -> float:
@@ -319,19 +330,9 @@ def boost_worldline(
     positions, with velocities taken from the interpolant's derivative.
     """
     v0, src, dst = b._oriented(direction)
-    if w.frame_tag != src:
-        raise FrameMismatchError(
-            f"worldline tagged {w.frame_tag!r} but {direction} boost maps from {src!r}"
-        )
-    g = b.gamma
-    t_new = g * (w.t + v0 * w.r[:, 0])
-    r_new = w.r.copy()
-    r_new[:, 0] = g * (w.r[:, 0] + v0 * w.t)
-    denom = 1.0 + v0 * w.u[:, 0]
-    u_new = np.empty_like(w.u)
-    u_new[:, 0] = (w.u[:, 0] + v0) / denom
-    u_new[:, 1] = w.u[:, 1] / (g * denom)
-    u_new[:, 2] = w.u[:, 2] / (g * denom)
+    _require_frame(w.frame_tag, src, f"worldline for the {direction} boost")
+    t_new, r_new = _boost_coords(w.t, w.r, v0, b.gamma)
+    u_new = _boost_velocities(w.u, v0, b.gamma)
     out = Worldline(frame_tag=dst, t=t_new, r=r_new, u=u_new)
     if n_resample is None:
         return out
@@ -362,31 +363,41 @@ def resample_worldline(w: Worldline, n: int) -> Worldline:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header t,x,y,z,ux,uy,uz, shortest round-trip decimals.
-# Frame tag and boost parameters travel in a JSON sidecar (see scenarios).
+# CSV serialization: header line, then one row per sample in shortest
+# round-trip decimals.  Frame tag and boost parameters of a worldline travel
+# in a JSON sidecar (see scenarios).
 # ---------------------------------------------------------------------------
 
 WORLDLINE_CSV_HEADER = ["t", "x", "y", "z", "ux", "uy", "uz"]
 
+#: Rows formatted per write; bounds the Python float lists held at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length columns, each (n,) or (n, k), as a lossless CSV table."""
+    n = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, n, _CSV_CHUNK_ROWS):
+            rows = np.column_stack([c[i : i + _CSV_CHUNK_ROWS] for c in columns]).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
 
 def save_worldline_csv(w: Worldline, path) -> None:
     """Write a worldline as CSV with full round-trip decimal precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WORLDLINE_CSV_HEADER)
-        for i in range(len(w)):
-            row = [w.t[i], *w.r[i], *w.u[i]]
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, WORLDLINE_CSV_HEADER, [w.t, w.r, w.u])
 
 
 def load_worldline_csv(path, frame_tag: str = FRAME_KPRIME) -> Worldline:
     """Read a worldline written by :func:`save_worldline_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         if header != WORLDLINE_CSV_HEADER:
             raise ValueError(f"unexpected worldline CSV header: {header}")
-        rows = np.array([[float(v) for v in row] for row in reader])
-    if rows.size == 0:
-        raise ValueError("empty worldline CSV")
+        body = fh.tell()
+        if not fh.readline().strip():
+            raise ValueError("empty worldline CSV")
+        fh.seek(body)
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     return Worldline(frame_tag=frame_tag, t=rows[:, 0], r=rows[:, 1:4], u=rows[:, 4:7])

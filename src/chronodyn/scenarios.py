@@ -31,6 +31,7 @@ files on every run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +48,16 @@ from .chronometry import (
     time_map_ratio,
 )
 from .dynamics import FieldConfig, IntegratorConfig, ParticleState, energy_audit, integrate
-from .frames import FRAME_KPRIME, Boost, Worldline, boost_worldline, save_worldline_csv
+from .frames import (
+    FRAME_K,
+    FRAME_KPRIME,
+    Boost,
+    Worldline,
+    _write_csv,
+    boost_worldline,
+    load_worldline_csv,
+    save_worldline_csv,
+)
 from .perturbation import ForceLaw, expansion_residual, solve_perturbation
 
 __all__ = [
@@ -91,13 +101,38 @@ def _vec3(value, ctx: str) -> np.ndarray:
         raise ScenarioConfigError(f"{ctx}: not a numeric 3-vector: {value!r}") from exc
     if v.shape != (3,):
         raise ScenarioConfigError(f"{ctx}: expected 3 components, got {value!r}")
+    if not np.all(np.isfinite(v)):
+        raise ScenarioConfigError(f"{ctx}: components must be finite, got {value!r}")
     return v
 
 
 def _number(value, ctx: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioConfigError(f"{ctx}: expected a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ScenarioConfigError(f"{ctx}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, ctx: str) -> int:
+    x = _number(value, ctx)
+    if x != int(x):
+        raise ScenarioConfigError(f"{ctx}: expected an integer, got {value!r}")
+    return int(x)
+
+
+def _load_json(path) -> dict:
+    """Read a JSON object from a file; every failure names the file."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ScenarioConfigError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioConfigError(f"{path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ScenarioConfigError(f"{path}: top level must be a JSON object")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -167,7 +202,7 @@ def parse_scenario(cfg: dict) -> Scenario:
             icfg = IntegratorConfig(
                 method=str(integ.get("method", "rk4")),
                 dt=_number(_need(integ, "dt", "integrator"), "integrator.dt"),
-                n_steps=int(_need(integ, "n_steps", "integrator")),
+                n_steps=_integer(_need(integ, "n_steps", "integrator"), "integrator.n_steps"),
             )
         except ValueError as exc:
             raise ScenarioConfigError(f"integrator: {exc}") from exc
@@ -217,14 +252,14 @@ def parse_scenario(cfg: dict) -> Scenario:
                 "time_grid: 'periods' form needs a periodic motion; uniform_e has none"
             )
         periods = _number(grid["periods"], "time_grid.periods")
-        per_period = int(grid.get("per_period", 1000))
+        per_period = _integer(grid.get("per_period", 1000), "time_grid.per_period")
         t_prime = params.period_prime
         t_grid = (0.0, periods * t_prime, int(round(periods * per_period)) + 1)
     else:
         t_grid = (
             _number(_need(grid, "t0", "time_grid"), "time_grid.t0"),
             _number(_need(grid, "t1", "time_grid"), "time_grid.t1"),
-            int(_need(grid, "n", "time_grid")),
+            _integer(_need(grid, "n", "time_grid"), "time_grid.n"),
         )
     if not (t_grid[1] > t_grid[0] and t_grid[2] >= 2):
         raise ScenarioConfigError("time_grid: need t1 > t0 and n >= 2")
@@ -239,16 +274,7 @@ def parse_scenario(cfg: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ScenarioConfigError(f"{path}: {exc}") from exc
-    return parse_scenario(cfg)
+    return parse_scenario(_load_json(path))
 
 
 def _implied_field(sc: Scenario) -> FieldConfig | None:
@@ -305,12 +331,46 @@ def _sidecar(sc: Scenario, frame_tag: str, field: FieldConfig | None) -> dict:
     return {
         "scenario": sc.name,
         "frame_tag": frame_tag,
-        "boost": {"v0": sc.v0, "frame_prime": FRAME_KPRIME, "frame_lab": "K"},
+        "boost": {"v0": sc.v0, "frame_prime": FRAME_KPRIME, "frame_lab": FRAME_K},
         "particle": {"m0": sc.m0, "e": sc.e},
         "field": None
         if field is None
         else {"E": field.E, "B": field.B, "frame_tag": field.frame_tag},
     }
+
+
+def _read_worldline_file(path) -> tuple[Worldline, float | None, FieldConfig | None, float, float]:
+    """Load a worldline CSV and its sidecar: (worldline, v0, field, m0, e).
+
+    Without a sidecar the file holds K'-frame samples of unknown boost speed
+    and field.  A malformed CSV or sidecar raises ScenarioConfigError.
+    """
+    meta_path = Path(path).with_suffix(".meta.json")
+    meta = _load_json(meta_path) if meta_path.exists() else {}
+    frame_tag = meta.get("frame_tag", FRAME_KPRIME)
+    if frame_tag not in (FRAME_KPRIME, FRAME_K):
+        raise ScenarioConfigError(
+            f"{meta_path}: frame_tag must be {FRAME_KPRIME!r} or {FRAME_K!r}, got {frame_tag!r}"
+        )
+    v0 = meta.get("boost", {}).get("v0")
+    fld = meta.get("field")
+    field = None if not fld else FieldConfig(
+        E=_vec3(_need(fld, "E", "sidecar field"), "sidecar field.E"),
+        B=_vec3(_need(fld, "B", "sidecar field"), "sidecar field.B"),
+        frame_tag=frame_tag,
+    )
+    particle = meta.get("particle", {})
+    try:
+        w = load_worldline_csv(path, frame_tag=frame_tag)
+    except ValueError as exc:
+        raise ScenarioConfigError(f"{path}: {exc}") from exc
+    return (
+        w,
+        None if v0 is None else _number(v0, "sidecar boost.v0"),
+        field,
+        _number(particle.get("m0", 1.0), "sidecar particle.m0"),
+        _number(particle.get("e", 1.0), "sidecar particle.e"),
+    )
 
 
 def run_scenario(sc: Scenario, out_dir) -> dict:
@@ -319,27 +379,19 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     Writes (subject to the scenario's output selection):
     worldline_kprime.csv/.meta.json, worldline_k.csv/.meta.json,
     timemap.csv, energy.csv and summary.json.  The pipeline is free of
-    randomness, so fixed configs give byte-identical outputs.
+    randomness, so fixed configs give byte-identical outputs.  Every result
+    is computed before the first write, so a failed run leaves no files.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     b = Boost(sc.v0)
     w_prime = _make_worldline(sc)
     field = _implied_field(sc)
+    w_lab = boost_worldline(w_prime, b) if "boosted_worldline" in sc.outputs else None
     summary: dict = {
         "scenario": sc.name,
         "v0": sc.v0,
         "gamma": b.gamma,
         "n_samples": len(w_prime),
     }
-
-    if "worldline" in sc.outputs:
-        save_worldline_csv(w_prime, out / "worldline_kprime.csv")
-        _write_json(out / "worldline_kprime.meta.json", _sidecar(sc, FRAME_KPRIME, field))
-    if "boosted_worldline" in sc.outputs:
-        w_lab = boost_worldline(w_prime, b)
-        save_worldline_csv(w_lab, out / "worldline_k.csv")
-        _write_json(out / "worldline_k.meta.json", _sidecar(sc, "K", None))
 
     tm_kin = time_map_kinematic(w_prime, b)
     tm_ratio = time_map_ratio(w_prime, b)
@@ -356,8 +408,6 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             )
         tm = time_map_dynamic(w_prime, field, b, m0=sc.m0, e=sc.e)
         agreement["kinematic_vs_dynamic"] = float(np.abs(tm_kin.g - tm.g).max())
-    if "timemap" in sc.outputs:
-        save_time_map_csv(tm, out / "timemap.csv")
     summary["timemap"] = {
         "method": sc.timemap_method,
         "g_min": float(tm.g.min()),
@@ -368,10 +418,9 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
         "agreement": agreement,
     }
 
+    audit = None
     if field is not None:
         audit = energy_audit(w_prime, field, m0=sc.m0, e=sc.e)
-        if "energy" in sc.outputs:
-            _write_energy_csv(audit, out / "energy.csv")
         summary["energy"] = {
             "initial_total": float(audit.total[0]),
             "max_relative_drift": audit.max_relative_drift,
@@ -380,26 +429,25 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     summary["period"] = _period_summary(sc, w_prime, b)
     summary["simultaneity"] = _simultaneity_summary(sc, w_prime, b)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if "worldline" in sc.outputs:
+        save_worldline_csv(w_prime, out / "worldline_kprime.csv")
+        _write_json(out / "worldline_kprime.meta.json", _sidecar(sc, FRAME_KPRIME, field))
+    if w_lab is not None:
+        save_worldline_csv(w_lab, out / "worldline_k.csv")
+        _write_json(out / "worldline_k.meta.json", _sidecar(sc, FRAME_K, None))
+    if "timemap" in sc.outputs:
+        save_time_map_csv(tm, out / "timemap.csv")
+    if audit is not None and "energy" in sc.outputs:
+        _write_csv(
+            out / "energy.csv",
+            ["t", "energy", "potential", "total"],
+            [audit.t, audit.energy, audit.potential, audit.total],
+        )
     if "summary" in sc.outputs:
         _write_json(out / "summary.json", summary)
     return summary
-
-
-def _write_energy_csv(audit, path: Path) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "energy", "potential", "total"])
-        for i in range(audit.t.shape[0]):
-            writer.writerow(
-                [
-                    repr(float(audit.t[i])),
-                    repr(float(audit.energy[i])),
-                    repr(float(audit.potential[i])),
-                    repr(float(audit.total[i])),
-                ]
-            )
 
 
 def _period_summary(sc: Scenario, w_prime: Worldline, b: Boost) -> dict | None:
@@ -490,22 +538,45 @@ def build_force(spec: dict) -> ForceLaw:
     raise ScenarioConfigError(f"force.kind: must be one of {FORCE_KINDS}, got {kind!r}")
 
 
-def load_perturb_config(path) -> dict:
-    """Read and validate a perturbation-run JSON config."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ScenarioConfigError(f"{path}: {exc}") from exc
+def _parse_perturb(cfg: dict) -> tuple[str, dict]:
+    """Validate a perturbation config: its name and the solve_perturbation arguments."""
     if not isinstance(cfg, dict):
         raise ScenarioConfigError("perturb config: top level must be a JSON object")
-    _need(cfg, "force")
-    _need(cfg, "initial")
-    _need(cfg, "t_span")
+    force = build_force(_need(cfg, "force"))
+    m0 = _number(cfg.get("m0", 1.0), "m0")
+    v0 = _number(cfg.get("v0", 0.0), "v0")
+    dt = _number(cfg.get("dt", 1e-3), "dt")
+    span = _need(cfg, "t_span")
+    if not (isinstance(span, (list, tuple)) and len(span) == 2):
+        raise ScenarioConfigError("t_span: expected [t0, t1]")
+    t_span = (_number(span[0], "t_span[0]"), _number(span[1], "t_span[1]"))
+    if not abs(v0) < 1.0:
+        raise ScenarioConfigError(f"v0: |v0| must be < 1, got {v0}")
+    if not m0 > 0.0:
+        raise ScenarioConfigError(f"m0: must be positive, got {m0}")
+    if not dt > 0.0:
+        raise ScenarioConfigError(f"dt: must be positive, got {dt}")
+    if not t_span[1] > t_span[0]:
+        raise ScenarioConfigError(f"t_span: need t1 > t0, got {span!r}")
+    init = _need(cfg, "initial")
+    corr = cfg.get("correction_initial", {})
+    return str(cfg.get("name", "perturb")), {
+        "f": force,
+        "r0": _vec3(_need(init, "r", "initial"), "initial.r"),
+        "u0": _vec3(_need(init, "u", "initial"), "initial.u"),
+        "m0": m0,
+        "t_span": t_span,
+        "dt": dt,
+        "v0": v0,
+        "r1_0": _vec3(corr.get("r1", [0, 0, 0]), "correction_initial.r1"),
+        "u1_0": _vec3(corr.get("u1", [0, 0, 0]), "correction_initial.u1"),
+    }
+
+
+def load_perturb_config(path) -> dict:
+    """Read and validate a perturbation-run JSON config."""
+    cfg = _load_json(path)
+    _parse_perturb(cfg)
     return cfg
 
 
@@ -513,50 +584,26 @@ def run_perturb(cfg: dict, out_dir) -> dict:
     """Execute a perturbation config; writes run.csv and summary.json.
 
     The run CSV columns are t, the zero-order position, the correction, and
-    the time-force series, in that order.
+    the time-force series, in that order.  The config is validated and the
+    run solved before the output directory is created.
     """
-    import csv as _csv
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    force = build_force(cfg["force"])
-    name = str(cfg.get("name", "perturb"))
-    m0 = _number(cfg.get("m0", 1.0), "m0")
-    v0 = _number(cfg.get("v0", 0.0), "v0")
-    init = cfg["initial"]
-    r0 = _vec3(_need(init, "r", "initial"), "initial.r")
-    u0 = _vec3(_need(init, "u", "initial"), "initial.u")
-    corr = cfg.get("correction_initial", {})
-    r1_0 = _vec3(corr.get("r1", [0, 0, 0]), "correction_initial.r1")
-    u1_0 = _vec3(corr.get("u1", [0, 0, 0]), "correction_initial.u1")
-    span = cfg["t_span"]
-    if not (isinstance(span, (list, tuple)) and len(span) == 2):
-        raise ScenarioConfigError("t_span: expected [t0, t1]")
-    dt = _number(cfg.get("dt", 1e-3), "dt")
-
-    run = solve_perturbation(
-        force, r0, u0, m0, (float(span[0]), float(span[1])), dt, v0,
-        r1_0=r1_0, u1_0=u1_0,
-    )
-    with open(out / "run.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "r0x", "r0y", "r0z", "r1x", "r1y", "r1z", "Fx", "Fy", "Fz"])
-        for i in range(len(run.zero_order)):
-            row = [
-                run.zero_order.t[i],
-                *run.zero_order.r[i],
-                *run.correction.r[i],
-                *run.time_force[i],
-            ]
-            writer.writerow([repr(float(v)) for v in row])
+    name, inputs = _parse_perturb(cfg)
+    run = solve_perturbation(**inputs)
     summary = {
         "name": name,
-        "v0": v0,
-        "m0": m0,
+        "v0": inputs["v0"],
+        "m0": inputs["m0"],
         "n_samples": len(run.zero_order),
         "max_correction": float(np.abs(run.correction.r).max()),
         "max_time_force": float(np.abs(run.time_force).max()),
-        "expansion_residual": expansion_residual(force, run),
+        "expansion_residual": expansion_residual(inputs["f"], run),
     }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        out / "run.csv",
+        ["t", "r0x", "r0y", "r0z", "r1x", "r1y", "r1z", "Fx", "Fy", "Fz"],
+        [run.zero_order.t, run.zero_order.r, run.correction.r, run.time_force],
+    )
     _write_json(out / "summary.json", summary)
     return summary

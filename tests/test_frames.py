@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chronodyn import frames
 from chronodyn.frames import (
     Boost,
     Event,
@@ -75,6 +76,11 @@ def test_boost_event_rejects_wrong_frame():
     e = Event(t=0.0, r=[0.0, 0.0, 0.0], frame_tag="K")
     with pytest.raises(FrameMismatchError):
         boost_event(e, Boost(0.5), "forward")
+
+
+def test_boost_rejects_equal_frame_tags():
+    with pytest.raises(ValueError, match="two distinct frames"):
+        Boost(0.5, frame_prime="K")
 
 
 def test_interval_invariance():
@@ -385,10 +391,16 @@ def test_resample_worldline():
     assert np.abs(out.r - ref.r).max() < 2e-5  # PCHIP interpolation error at h ~ 0.016
 
 
-def test_worldline_csv_round_trip(tmp_path):
+def test_worldline_csv_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setattr(frames, "_CSV_CHUNK_ROWS", 16)  # several chunks, the last one short
     _, w = _orbit(n=101)
     path = tmp_path / "w.csv"
     save_worldline_csv(w, path)
+    rows = [[w.t[i], *w.r[i], *w.u[i]] for i in range(len(w))]
+    expected = "t,x,y,z,ux,uy,uz\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows
+    )
+    assert path.read_text() == expected
     back = load_worldline_csv(path, frame_tag=w.frame_tag)
     assert np.array_equal(back.t, w.t)
     assert np.array_equal(back.r, w.r)
@@ -399,4 +411,7 @@ def test_load_worldline_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        load_worldline_csv(path)
+    path.write_text("t,x,y,z,ux,uy,uz\n")
+    with pytest.raises(ValueError, match="empty"):
         load_worldline_csv(path)

@@ -1,5 +1,6 @@
 """Scenario configs, the run pipeline, artifact files and the CLI surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from chronodyn.chronometry import DegenerateForceError
-from chronodyn.frames import load_worldline_csv
+from chronodyn.frames import Boost, inverse_kinematic_g, load_worldline_csv
 from chronodyn.scenarios import (
     ScenarioConfigError,
     build_force,
@@ -18,6 +19,18 @@ from chronodyn.scenarios import (
     run_perturb,
     run_scenario,
 )
+
+# the perturbation example of the README
+README_PERTURB = {
+    "name": "harmonic-demo",
+    "force": {"kind": "harmonic", "k": 1.0},
+    "m0": 1.0,
+    "initial": {"r": [1, 0, 0], "u": [0, 0, 0]},
+    "correction_initial": {"r1": [0.001, 0, 0], "u1": [0, 0, 0]},
+    "v0": 0.002,
+    "t_span": [0.0, 12.566],
+    "dt": 0.002,
+}
 
 
 def _cyclotron_cfg(**overrides):
@@ -172,6 +185,29 @@ def test_run_osc_drift_dynamic_is_degenerate(tmp_path):
         run_scenario(parse_scenario(cfg), tmp_path)
 
 
+def test_bundled_outputs_match_golden_hashes(tmp_path):
+    run_scenario(load_scenario(bundled_scenario_path("cyclotron")), tmp_path / "sim")
+    run_perturb(README_PERTURB, tmp_path / "perturb")
+    golden = {
+        "sim/worldline_kprime.csv":
+            "989991b81500cb4883243f4604666c474e50fe1c1c529bd3cdbf74b933a00c83",
+        "sim/worldline_kprime.meta.json":
+            "84b38a86d847c6bb4d9d14b6373b9099894e8e78e31179616c3601a8e8a272fa",
+        "sim/worldline_k.csv": "1158e78906f746c22935022661b931a546c7ea1e12e9de248a993422a3716149",
+        "sim/worldline_k.meta.json":
+            "232acaf227d9d5069054d2565cc238ef890c31d0d7adbf0e4a9317f10a085f5b",
+        "sim/timemap.csv": "127437c650b9cb3d5de1eb869977304b02c42ee0934b462ee239ba9bb76f961b",
+        "sim/energy.csv": "82e8a003a1f3b3fbc253b9f22b639984eb24661237e3964f73a7674374a79aef",
+        "sim/summary.json": "f3657c916a5119c52aa491dbd64fad94e16f09c9a4c6f834b2c9cb82027913e7",
+        "perturb/run.csv": "14881d25ce62b67bdfe082335824e551d3405534b09c5dd27dc5df1624ffcaad",
+        "perturb/summary.json": "fc922aa68cd01fd91a625cb854869ce296de699612466474053eaba56b4f2811",
+    }
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(golden)
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_run_is_deterministic(tmp_path):
     sc = parse_scenario(_cyclotron_cfg())
     a, b = tmp_path / "a", tmp_path / "b"
@@ -269,9 +305,77 @@ def test_cli_numeric_error_exit_3(tmp_path):
             )
         )
     )
-    proc = _cli("simulate", str(cfg))
+    out = tmp_path / "out"
+    proc = _cli("simulate", str(cfg), "--out", str(out))
     assert proc.returncode == 3
     assert "zero 4-force" in proc.stderr
+    assert not any(out.glob("*"))
+
+
+def _json_file(path, cfg):
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _sidecar_without_e(tmp_path):
+    sim = tmp_path / "sim"
+    run_scenario(parse_scenario(_cyclotron_cfg()), sim)
+    meta_path = sim / "worldline_kprime.meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["field"]["E"]
+    meta_path.write_text(json.dumps(meta))
+    return ["timemap", str(sim / "worldline_kprime.csv"), "--method", "dynamic"]
+
+
+def _unwritable_out(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    cfg = _json_file(tmp_path / "sc.json", _cyclotron_cfg())
+    return ["simulate", cfg, "--out", str(blocker / "out")]
+
+
+# each case: argv builder and the field (or path) the message must name
+CONFIG_ERROR_CASES = {
+    "per_period-not-a-number": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _cyclotron_cfg(time_grid={"periods": 1, "per_period": "abc"}))],
+        "time_grid.per_period",
+    ),
+    "grid-n-not-an-integer": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _cyclotron_cfg(time_grid={"t0": 0.0, "t1": 1.0, "n": 100.5}))],
+        "time_grid.n",
+    ),
+    "grid-t1-infinite": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _cyclotron_cfg(time_grid={"t0": 0.0, "t1": float("inf"), "n": 10}))],
+        "time_grid.t1",
+    ),
+    "perturb-v0-superluminal": (
+        lambda tmp: ["perturb", _json_file(tmp / "p.json", {**README_PERTURB, "v0": 7.0})],
+        "v0",
+    ),
+    "perturb-dt-negative": (
+        lambda tmp: ["perturb", _json_file(tmp / "p.json", {**README_PERTURB, "dt": -1})],
+        "dt",
+    ),
+    "sidecar-field-without-E": (_sidecar_without_e, "'E'"),
+    "unwritable-out": (_unwritable_out, "blocker"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERROR_CASES))
+def test_cli_config_errors_exit_2_naming_the_field(tmp_path, case):
+    build, named = CONFIG_ERROR_CASES[case]
+    argv = build(tmp_path)
+    out = tmp_path / "out"
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    proc = _cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_verify_list():
@@ -290,6 +394,20 @@ def test_cli_timemap_uses_sidecar(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "tm" / "timemap.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["kinematic", "ratio"])
+def test_cli_timemap_on_k_frame_file_gives_inverse_ratio(tmp_path, method):
+    out = tmp_path / "sim"
+    run_scenario(parse_scenario(_cyclotron_cfg()), out)
+    proc = _cli(
+        "timemap", str(out / "worldline_k.csv"), "--method", method, "--out", str(tmp_path / "tm")
+    )
+    assert proc.returncode == 0, proc.stderr
+    w_lab = load_worldline_csv(out / "worldline_k.csv", frame_tag="K")
+    expected = [inverse_kinematic_g(ux, Boost(0.6)) for ux in w_lab.u[:, 0]]
+    g = np.loadtxt(tmp_path / "tm" / "timemap.csv", delimiter=",", skiprows=1)[:, 1]
+    np.testing.assert_allclose(g, expected, rtol=0.0, atol=1e-15)
 
 
 def test_cli_timemap_requires_v0_without_sidecar(tmp_path):
