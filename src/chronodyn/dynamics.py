@@ -170,37 +170,51 @@ def four_force(s: ParticleState, f: FieldConfig) -> np.ndarray:
     return np.concatenate(([s.e * float(f.E @ s.u)], force))
 
 
-def _u_of_p(p: np.ndarray, m0: float) -> np.ndarray:
-    return p / np.sqrt(m0 * m0 + float(p @ p))
+def _u_of_p(px, py, pz, m2):
+    """Velocity u = p/sqrt(m0^2 + |p|^2) from momentum components, m2 = m0^2."""
+    s = math.sqrt(m2 + (px * px + py * py + pz * pz))
+    return px / s, py / s, pz / s
 
 
-def _rk4_step(r, p, dt, e, m0, E, B):
-    def deriv(rr, pp):
-        u = _u_of_p(pp, m0)
-        return u, e * (E + np.cross(u, B))
-
-    k1r, k1p = deriv(r, p)
-    k2r, k2p = deriv(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p)
-    k3r, k3p = deriv(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p)
-    k4r, k4p = deriv(r + dt * k3r, p + dt * k3p)
-    r_new = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return r_new, p_new
+def _u_and_force(px, py, pz, m2, e, E, B):
+    """(u, dp/dt) at momentum p, with dp/dt = e*(E + u x B)."""
+    ux, uy, uz = _u_of_p(px, py, pz, m2)
+    Ex, Ey, Ez = E
+    Bx, By, Bz = B
+    return (ux, uy, uz, e * (Ex + (uy * Bz - uz * By)),
+            e * (Ey + (uz * Bx - ux * Bz)), e * (Ez + (ux * By - uy * Bx)))
 
 
-def _boris_step(r, p, dt, e, m0, E, B):
+def _rk4_step(s, h, e, m0, E, B):
+    # the derivative of (r, p) depends on p alone, so only p gets midpoints
+    px, py, pz = s[3:]
+    m2, hh = m0 * m0, 0.5 * h
+    k1 = _u_and_force(px, py, pz, m2, e, E, B)
+    k2 = _u_and_force(px + hh * k1[3], py + hh * k1[4], pz + hh * k1[5], m2, e, E, B)
+    k3 = _u_and_force(px + hh * k2[3], py + hh * k2[4], pz + hh * k2[5], m2, e, E, B)
+    k4 = _u_and_force(px + h * k3[3], py + h * k3[4], pz + h * k3[5], m2, e, E, B)
+    w = h / 6.0
+    return tuple(q + w * (a + 2.0 * b + 2.0 * c + d) for q, a, b, c, d in zip(s, k1, k2, k3, k4))
+
+
+def _boris_step(s, h, e, m0, E, B):
     # half electric kick, magnetic rotation, half electric kick; the
     # rotation preserves |p| exactly, so pure-B energy drift is bounded
-    half_kick = 0.5 * dt * e * E
-    p_minus = p + half_kick
-    gamma_m = math.sqrt(1.0 + float(p_minus @ p_minus) / (m0 * m0))
-    tvec = (0.5 * dt * e / (m0 * gamma_m)) * B
-    svec = 2.0 * tvec / (1.0 + float(tvec @ tvec))
-    p_prime = p_minus + np.cross(p_minus, tvec)
-    p_plus = p_minus + np.cross(p_prime, svec)
-    p_new = p_plus + half_kick
-    u_mid = _u_of_p(0.5 * (p + p_new), m0)
-    return r + dt * u_mid, p_new
+    x, y, z, px, py, pz = s
+    k = 0.5 * h * e
+    kx, ky, kz = k * E[0], k * E[1], k * E[2]
+    mx, my, mz = px + kx, py + ky, pz + kz
+    m2 = m0 * m0
+    c = k / (m0 * math.sqrt(1.0 + (mx * mx + my * my + mz * mz) / m2))
+    tx, ty, tz = c * B[0], c * B[1], c * B[2]
+    d = 1.0 + (tx * tx + ty * ty + tz * tz)
+    sx, sy, sz = 2.0 * tx / d, 2.0 * ty / d, 2.0 * tz / d
+    qx, qy, qz = mx + (my * tz - mz * ty), my + (mz * tx - mx * tz), mz + (mx * ty - my * tx)
+    nx = mx + (qy * sz - qz * sy) + kx
+    ny = my + (qz * sx - qx * sz) + ky
+    nz = mz + (qx * sy - qy * sx) + kz
+    ux, uy, uz = _u_of_p(0.5 * (px + nx), 0.5 * (py + ny), 0.5 * (pz + nz), m2)
+    return x + h * ux, y + h * uy, z + h * uz, nx, ny, nz
 
 
 def integrate(s0: ParticleState, f: FieldConfig, cfg: IntegratorConfig) -> Worldline:
@@ -209,32 +223,33 @@ def integrate(s0: ParticleState, f: FieldConfig, cfg: IntegratorConfig) -> World
     Returns a worldline of n_steps + 1 samples starting at the initial
     state.  RK4 carries 4th-order global accuracy; Boris is 2nd order but
     conserves energy to roundoff in a pure magnetic field.  Every step is
-    checked for finiteness (a blow-up names the offending quantity).
+    checked for a finite, subluminal state (a failure names the step).
     """
     _require_frame(f.frame_tag, s0.frame_tag, "fields")
     step = _rk4_step if cfg.method == "rk4" else _boris_step
-    n = cfg.n_steps
-    t = s0.t + cfg.dt * np.arange(n + 1)
-    r_out = np.empty((n + 1, 3))
-    u_out = np.empty((n + 1, 3))
-    r = s0.r.copy()
-    p = s0.momentum
-    r_out[0] = r
-    u_out[0] = s0.u
-    for i in range(1, n + 1):
-        r, p = step(r, p, cfg.dt, s0.e, s0.m0, f.E, f.B)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
-            raise IntegrationError(
-                f"non-finite state at step {i} (t = {t[i]}): r = {r}, p = {p}"
-            )
-        u = _u_of_p(p, s0.m0)
-        if not float(u @ u) < 1.0:
-            raise IntegrationError(
-                f"superluminal state at step {i} (t = {t[i]}): |u| = {np.linalg.norm(u)}"
-            )
-        r_out[i] = r
-        u_out[i] = u
-    return Worldline(frame_tag=s0.frame_tag, t=t, r=r_out, u=u_out)
+    n, dt, e, m0 = cfg.n_steps, cfg.dt, s0.e, s0.m0
+    E, B = f.E.tolist(), f.B.tolist()
+    t = s0.t + dt * np.arange(n + 1)
+    out = np.empty((n + 1, 6))
+    out[0] = *s0.r.tolist(), *s0.u.tolist()
+    s = (*s0.r.tolist(), *s0.momentum.tolist())
+    try:
+        for i in range(1, n + 1):
+            s = step(s, dt, e, m0, E, B)
+            if not all(map(math.isfinite, s)):
+                raise IntegrationError(
+                    f"non-finite state at step {i} (t = {t[i]}): r = {s[:3]}, p = {s[3:]}"
+                )
+            ux, uy, uz = _u_of_p(*s[3:], m0 * m0)
+            u2 = ux * ux + uy * uy + uz * uz
+            if not u2 < 1.0:
+                raise IntegrationError(
+                    f"superluminal state at step {i} (t = {t[i]}): |u| = {math.sqrt(u2)}"
+                )
+            out[i] = s[0], s[1], s[2], ux, uy, uz
+    except ZeroDivisionError:  # reachable only when m0*m0 underflows to 0
+        raise IntegrationError(f"non-finite state at step {i} (t = {t[i]})") from None
+    return Worldline(frame_tag=s0.frame_tag, t=t, r=out[:, :3], u=out[:, 3:])
 
 
 @dataclass(frozen=True)

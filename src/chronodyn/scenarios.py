@@ -94,6 +94,15 @@ def _need(cfg: dict, key: str, ctx: str = "scenario"):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, default=None, kind: type = dict):
+    """Sub-config ``key`` (required unless a default is given), checked to be a ``kind``."""
+    value = _need(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(value, kind):
+        what = "a JSON object" if kind is dict else "a JSON array"
+        raise ScenarioConfigError(f"{key}: expected {what}, got {value!r}")
+    return value
+
+
 def _vec3(value, ctx: str) -> np.ndarray:
     try:
         v = np.asarray(value, dtype=float)
@@ -162,7 +171,7 @@ def parse_scenario(cfg: dict) -> Scenario:
     v0 = _number(_need(cfg, "v0"), "v0")
     if not abs(v0) < 1.0:
         raise ScenarioConfigError(f"v0: |v0| must be < 1, got {v0}")
-    particle = _need(cfg, "particle")
+    particle = _section(cfg, "particle")
     m0 = _number(_need(particle, "m0", "particle"), "particle.m0")
     e = _number(_need(particle, "e", "particle"), "particle.e")
     if m0 <= 0.0:
@@ -180,24 +189,24 @@ def parse_scenario(cfg: dict) -> Scenario:
         raise ScenarioConfigError(
             f"timemap_method: must be kinematic|ratio|dynamic, got {method!r}"
         )
-    outputs = tuple(cfg.get("outputs", ALL_OUTPUTS))
+    outputs = tuple(_section(cfg, "outputs", list(ALL_OUTPUTS), list))
     for o in outputs:
         if o not in ALL_OUTPUTS:
             raise ScenarioConfigError(f"outputs: unknown output {o!r}")
 
     if has_field:
-        fld = cfg["field"]
+        fld = _section(cfg, "field")
         field = FieldConfig(
             E=_vec3(_need(fld, "E", "field"), "field.E"),
             B=_vec3(_need(fld, "B", "field"), "field.B"),
             frame_tag=FRAME_KPRIME,
         )
-        init = _need(cfg, "initial")
+        init = _section(cfg, "initial")
         r0 = _vec3(_need(init, "r", "initial"), "initial.r")
         u0 = _vec3(_need(init, "u", "initial"), "initial.u")
         if not float(u0 @ u0) < 1.0:
             raise ScenarioConfigError("initial.u: speed must be < 1")
-        integ = _need(cfg, "integrator")
+        integ = _section(cfg, "integrator")
         try:
             icfg = IntegratorConfig(
                 method=str(integ.get("method", "rk4")),
@@ -213,7 +222,7 @@ def parse_scenario(cfg: dict) -> Scenario:
             t_grid=None, timemap_method=method, outputs=outputs,
         )
 
-    spec = cfg["analytic"]
+    spec = _section(cfg, "analytic")
     kind = str(_need(spec, "kind", "analytic"))
     if kind not in ANALYTIC_KINDS:
         raise ScenarioConfigError(
@@ -245,7 +254,7 @@ def parse_scenario(cfg: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioConfigError(f"analytic: {exc}") from exc
 
-    grid = _need(cfg, "time_grid")
+    grid = _section(cfg, "time_grid")
     if "periods" in grid:
         if kind == "uniform_e":
             raise ScenarioConfigError(
@@ -542,7 +551,7 @@ def _parse_perturb(cfg: dict) -> tuple[str, dict]:
     """Validate a perturbation config: its name and the solve_perturbation arguments."""
     if not isinstance(cfg, dict):
         raise ScenarioConfigError("perturb config: top level must be a JSON object")
-    force = build_force(_need(cfg, "force"))
+    force = build_force(_section(cfg, "force"))
     m0 = _number(cfg.get("m0", 1.0), "m0")
     v0 = _number(cfg.get("v0", 0.0), "v0")
     dt = _number(cfg.get("dt", 1e-3), "dt")
@@ -558,8 +567,8 @@ def _parse_perturb(cfg: dict) -> tuple[str, dict]:
         raise ScenarioConfigError(f"dt: must be positive, got {dt}")
     if not t_span[1] > t_span[0]:
         raise ScenarioConfigError(f"t_span: need t1 > t0, got {span!r}")
-    init = _need(cfg, "initial")
-    corr = cfg.get("correction_initial", {})
+    init = _section(cfg, "initial")
+    corr = _section(cfg, "correction_initial", {})
     return str(cfg.get("name", "perturb")), {
         "f": force,
         "r0": _vec3(_need(init, "r", "initial"), "initial.r"),

@@ -14,6 +14,7 @@ from chronodyn.analytic import (
 from chronodyn.dynamics import (
     EnergyAudit,
     FieldConfig,
+    IntegrationError,
     IntegratorConfig,
     ParticleState,
     boost_field_config,
@@ -158,6 +159,83 @@ def test_rk4_order_by_step_halving():
         errs.append(float(np.abs(w.r[-1] - r_exact).max()))
     order = math.log2(errs[0] / errs[1])
     assert order >= 3.9
+
+
+# numpy-vector reference for one step of each method; the integrator's
+# scalar kernel must reproduce it to roundoff
+def _ref_u_of_p(p, m0):
+    return p / np.sqrt(m0 * m0 + float(p @ p))
+
+
+def _ref_rk4_step(r, p, dt, e, m0, E, B):
+    def deriv(pp):
+        u = _ref_u_of_p(pp, m0)
+        return u, e * (E + np.cross(u, B))
+
+    k1r, k1p = deriv(p)
+    k2r, k2p = deriv(p + 0.5 * dt * k1p)
+    k3r, k3p = deriv(p + 0.5 * dt * k2p)
+    k4r, k4p = deriv(p + dt * k3p)
+    r_new = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return r_new, p_new
+
+
+def _ref_boris_step(r, p, dt, e, m0, E, B):
+    half_kick = 0.5 * dt * e * E
+    p_minus = p + half_kick
+    gamma_m = math.sqrt(1.0 + float(p_minus @ p_minus) / (m0 * m0))
+    tvec = (0.5 * dt * e / (m0 * gamma_m)) * B
+    svec = 2.0 * tvec / (1.0 + float(tvec @ tvec))
+    p_prime = p_minus + np.cross(p_minus, tvec)
+    p_plus = p_minus + np.cross(p_prime, svec)
+    p_new = p_plus + half_kick
+    u_mid = _ref_u_of_p(0.5 * (p + p_new), m0)
+    return r + dt * u_mid, p_new
+
+
+@pytest.mark.parametrize("method", ["rk4", "boris"])
+@pytest.mark.parametrize(
+    "E, B",
+    [
+        ([0.0, 0.0, 0.0], [0.2, -0.3, 1.1]),  # pure B
+        ([0.4, -0.2, 0.3], [0.0, 0.0, 0.0]),  # pure E
+        ([0.0, 0.6, 0.1], [0.0, 0.0, 1.0]),  # crossed E x B
+    ],
+    ids=["pure-B", "pure-E", "crossed-ExB"],
+)
+def test_integrate_matches_numpy_reference_steps(method, E, B):
+    f = FieldConfig(E=E, B=B)
+    s0 = ParticleState(t=0.0, r=[0.5, -1.0, 0.2], u=[0.3, 0.2, -0.1], m0=1.3, e=-0.8)
+    cfg = IntegratorConfig(method=method, dt=0.01, n_steps=500)
+    w = integrate(s0, f, cfg)
+    step = _ref_rk4_step if method == "rk4" else _ref_boris_step
+    r, p = s0.r.copy(), s0.momentum
+    r_ref, u_ref = [r], [s0.u]
+    for _ in range(cfg.n_steps):
+        r, p = step(r, p, cfg.dt, s0.e, s0.m0, f.E, f.B)
+        r_ref.append(r)
+        u_ref.append(_ref_u_of_p(p, s0.m0))
+    assert np.abs(w.r - np.array(r_ref)).max() <= 1e-13
+    assert np.abs(w.u - np.array(u_ref)).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["rk4", "boris"])
+@pytest.mark.parametrize(
+    "E, dt, m0, message",
+    [
+        (1e12, 1.0, 1.0, r"superluminal state at step 1 \(t = 1\.0\)"),
+        (1e300, 1e300, 1.0, r"non-finite state at step 1 "),
+        (0.0, 1.0, 1e-200, r"non-finite state at step 1 "),  # m0^2 underflows to 0
+    ],
+    ids=["superluminal", "overflow", "tiny-mass"],
+)
+def test_integrate_guards_name_the_step(method, E, dt, m0, message):
+    f = FieldConfig(E=[E, 0.0, 0.0], B=np.zeros(3))
+    s0 = ParticleState(t=0.0, r=np.zeros(3), u=np.zeros(3), m0=m0)
+    with pytest.raises(IntegrationError, match=message):
+        integrate(s0, f, IntegratorConfig(method=method, dt=dt, n_steps=3))
 
 
 def test_boris_bounds_energy_in_pure_b():

@@ -119,6 +119,23 @@ def test_parse_rejects_periods_grid_for_uniform_e():
         parse_scenario(cfg)
 
 
+@pytest.mark.parametrize(
+    "key", ["particle", "field", "initial", "integrator", "outputs", "analytic", "time_grid"]
+)
+def test_parse_rejects_sub_config_of_wrong_type(key):
+    cfg = _cyclotron_cfg() if key in ("analytic", "time_grid") else _field_cfg()
+    cfg[key] = "abc" if key == "outputs" else [1, 2]
+    with pytest.raises(ScenarioConfigError, match=rf"^{key}: expected a JSON"):
+        parse_scenario(cfg)
+
+
+@pytest.mark.parametrize("key", ["force", "initial", "correction_initial"])
+def test_perturb_rejects_sub_config_of_wrong_type(tmp_path, key):
+    with pytest.raises(ScenarioConfigError, match=rf"^{key}: expected a JSON object"):
+        run_perturb({**README_PERTURB, key: 5}, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_scenario_reports_json_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x",\n  "v0": }')
@@ -358,6 +375,23 @@ CONFIG_ERROR_CASES = {
     "perturb-dt-negative": (
         lambda tmp: ["perturb", _json_file(tmp / "p.json", {**README_PERTURB, "dt": -1})],
         "dt",
+    ),
+    "particle-not-an-object": (
+        lambda tmp: ["simulate", _json_file(tmp / "sc.json", _cyclotron_cfg(particle=5))],
+        "particle",
+    ),
+    "integrator-not-an-object": (
+        lambda tmp: ["simulate", _json_file(tmp / "sc.json", _field_cfg(integrator=[1, 2]))],
+        "integrator",
+    ),
+    "outputs-not-a-list": (
+        lambda tmp: ["simulate", _json_file(tmp / "sc.json", _cyclotron_cfg(outputs=5))],
+        "outputs",
+    ),
+    "perturb-correction-initial-not-an-object": (
+        lambda tmp: ["perturb", _json_file(
+            tmp / "p.json", {**README_PERTURB, "correction_initial": [1, 2]})],
+        "correction_initial",
     ),
     "sidecar-field-without-E": (_sidecar_without_e, "'E'"),
     "unwritable-out": (_unwritable_out, "blocker"),
