@@ -24,7 +24,7 @@ deliberately not reused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 Vec3Fn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+_BLOCK = 256  # RK4 steps linearized per numpy block: bounds the stage Jacobians' memory
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class ForceLaw:
 
     def __call__(self, r: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         F = np.asarray(self.evaluate(r, u, t), dtype=float)
-        if F.shape != (3,) or not np.all(np.isfinite(F)):
+        if F.shape != (3,) or not np.isfinite(F).all():
             raise ValueError(f"force evaluator returned a bad value: {F}")
         return F
 
@@ -96,6 +97,9 @@ class Trajectory:
     t: np.ndarray
     r: np.ndarray
     u: np.ndarray
+    # (id(f), m0) -> the run's RK4 stage states, then its linearization; each
+    # entry holds f itself so that the id cannot be reused
+    _linearizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -112,6 +116,9 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+    def __getstate__(self):  # a copy leaves the force laws behind and linearizes anew
+        return {**self.__dict__, "_linearizations": {}}
 
 
 @dataclass(frozen=True)
@@ -166,26 +173,9 @@ def force_jacobians(f: ForceLaw, at: tuple, h: float | None = None):
         ju = np.asarray(f.jac_u(r, u, t), dtype=float)
     else:
         jr, ju = _fd_jacobians(f, r, u, t, h)
-    if not (np.all(np.isfinite(jr)) and np.all(np.isfinite(ju))):
+    if not (np.isfinite(jr).all() and np.isfinite(ju).all()):
         raise ValueError("non-finite force Jacobian")
     return jr, ju
-
-
-def _rk4(deriv, y0: np.ndarray, t0: float, dt: float, n_steps: int) -> np.ndarray:
-    out = np.empty((n_steps + 1, y0.shape[0]))
-    out[0] = y0
-    y = y0
-    for i in range(n_steps):
-        t = t0 + i * dt
-        k1 = deriv(y, t)
-        k2 = deriv(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = deriv(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = deriv(y + dt * k3, t + dt)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"non-finite state at step {i + 1}")
-        out[i + 1] = y
-    return out
 
 
 def zero_order_solve(
@@ -194,7 +184,9 @@ def zero_order_solve(
     """RK4 solution of the Newtonian equation m0 * d^2 r/dt^2 = F(r, u, t).
 
     Intended for the slow-motion regime |u| << 1; nothing enforces it.  The
-    span is covered by ceil((t1 - t0)/dt) uniform steps.
+    span is covered by ceil((t1 - t0)/dt) uniform steps.  The run keeps its
+    RK4 stage states, from which corrections with the same ``f`` and ``m0``
+    linearize it.
     """
     if m0 <= 0.0:
         raise ValueError("rest mass must be positive")
@@ -206,10 +198,82 @@ def zero_order_solve(
     def deriv(y, t):
         return np.concatenate([y[3:], f(y[:3], y[3:], t) / m0])
 
-    y0 = np.concatenate([np.asarray(r0, dtype=float), np.asarray(u0, dtype=float)])
-    ys = _rk4(deriv, y0, t0, dt, n)
-    t = t0 + dt * np.arange(n + 1)
-    return Trajectory(t=t, r=ys[:, :3], u=ys[:, 3:])
+    ys = np.empty((n + 1, 6))
+    stages = np.empty((n, 4, 6))  # the states each step evaluated F at
+    y = ys[0] = np.concatenate([np.asarray(r0, dtype=float), np.asarray(u0, dtype=float)])
+    for i in range(n):
+        t = t0 + i * dt
+        k1 = deriv(y, t)
+        k2 = deriv(y2 := y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = deriv(y3 := y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = deriv(y4 := y + dt * k3, t + dt)
+        stages[i] = y, y2, y3, y4
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise ValueError(f"non-finite state at step {i + 1}")
+        ys[i + 1] = y
+    run = Trajectory(t=t0 + dt * np.arange(n + 1), r=ys[:, :3], u=ys[:, 3:])
+    run._linearizations[(id(f), m0)] = {"f": f, "stages": stages, "t0": t0, "dt": dt}
+    return run
+
+
+def _linearization(run0: Trajectory, f: ForceLaw, m0: float) -> dict:
+    """``run0`` linearized under (f, m0), built on first use from its stage states.
+
+    ``M`` (n, 6, 6) holds the RK4 step of the correction state (r1, u1) as a
+    matrix: with A = [[0, I], [J_r/m0, J_u/m0]] at a step's four stage
+    states, K2 = A2 (I + h/2 A1), K3 = A3 (I + h/2 K2), K4 = A4 (I + h K3)
+    and M = I + h/6 (A1 + 2 K2 + 2 K3 + K4).  ``J`` (n + 1, 3, 6) holds
+    [dF/dr, dF/du] and ``F`` (n + 1, 3) the force at the samples.
+    """
+    key = (id(f), m0)
+    lin = run0._linearizations.get(key)
+    if lin is None:  # not solved with this f and m0: integrate it again, once
+        if len(run0) < 2:
+            raise ValueError("zero-order run too short")
+        dts = np.diff(run0.t)
+        t0, dt = float(run0.t[0]), float(dts[0])
+        if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
+            raise ValueError("zero-order run must be uniformly sampled")
+        # a span half a step short of the last sample: exactly len(run0) - 1 steps
+        span = (t0, t0 + (len(run0) - 1.5) * dt)
+        again = zero_order_solve(f, run0.r[0], run0.u[0], m0, span, dt)
+        scale = max(float(np.abs(run0.r).max()), 1.0)
+        if not np.allclose(again.r, run0.r, rtol=0.0, atol=1e-9 * scale):
+            raise ValueError("zero-order trajectory does not match its own re-integration")
+        lin = run0._linearizations[key] = again._linearizations[key]
+    if "M" in lin:
+        return lin
+    stages, t0, h = lin["stages"], lin["t0"], lin["dt"]
+    n, eye = stages.shape[0], np.eye(6)
+    M, J = np.empty((n, 6, 6)), np.empty((n + 1, 3, 6))
+    for lo in range(0, n, _BLOCK):
+        S = stages[lo:lo + _BLOCK]
+        b = S.shape[0]
+        ti = t0 + np.arange(lo, lo + b) * h
+        T = np.stack([ti, ti + 0.5 * h, ti + 0.5 * h, ti + h], axis=1)
+        jac = np.empty((b * 4, 3, 6))
+        for j, (y, t) in enumerate(zip(S.reshape(-1, 6), T.ravel().tolist())):
+            jac[j, :, :3], jac[j, :, 3:] = force_jacobians(f, (y[:3], y[3:], t))
+        jac = jac.reshape(b, 4, 3, 6)
+        J[lo:lo + b] = jac[:, 0]
+        A = np.zeros((4, b, 6, 6))
+        A[:, :, :3, 3:] = eye[:3, :3]
+        A[:, :, 3:, :] = jac.transpose(1, 0, 2, 3) / m0
+        K2 = A[1] @ (eye + 0.5 * h * A[0])
+        K3 = A[2] @ (eye + 0.5 * h * K2)
+        K4 = A[3] @ (eye + h * K3)
+        M[lo:lo + b] = eye + (h / 6.0) * (A[0] + 2.0 * K2 + 2.0 * K3 + K4)
+    # J at the samples: a step's first stage state is its sample, except where the
+    # run was re-integrated; the last sample starts no step
+    own = np.column_stack([run0.t, run0.r, run0.u])
+    first = np.column_stack([t0 + np.arange(n) * h, stages[:, 0]])
+    for k in [*np.flatnonzero((first != own[:-1]).any(axis=1)).tolist(), n]:
+        J[k, :, :3], J[k, :, 3:] = force_jacobians(f, (run0.r[k], run0.u[k], run0.t[k]))
+    F = np.array([f(r, u, t) for r, u, t in zip(run0.r, run0.u, run0.t)])
+    del lin["stages"]
+    lin.update(M=M, J=J, F=F)
+    return lin
 
 
 def correction_solve(
@@ -218,45 +282,29 @@ def correction_solve(
     """RK4 solution of the linear correction equation along a zero-order run.
 
     Integrates m0 * d^2 r1/dt^2 = (r1 . grad_r)F + (u1 . grad_u)F with the
-    Jacobians evaluated on the zero-order trajectory, which is re-advanced
-    step-for-step alongside the correction so the coefficients are available
-    at the RK4 stage points (the re-advanced copy is checked against
-    ``run0``).  The equation is homogeneous: a zero initial perturbation
-    stays exactly zero, and solutions superpose.
+    Jacobians at the zero-order RK4 stage states, as y_{k+1} = M_k y_k with
+    the run's per-step propagators, built once per (f, m0).  A run that
+    ``zero_order_solve`` did not produce with this ``f`` and ``m0`` is
+    re-integrated once and checked against ``run0``.  The equation is
+    homogeneous: a zero initial perturbation stays exactly zero, and
+    solutions superpose.
     """
     if m0 <= 0.0:
         raise ValueError("rest mass must be positive")
-    t = run0.t
-    if len(run0) < 2:
-        raise ValueError("zero-order run too short")
-    dts = np.diff(t)
-    dt = float(dts[0])
-    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("zero-order run must be uniformly sampled")
-
-    def deriv(y, tt):
-        r0, u0, r1, u1 = y[:3], y[3:6], y[6:9], y[9:]
-        jr, ju = force_jacobians(f, (r0, u0, tt))
-        return np.concatenate(
-            [u0, f(r0, u0, tt) / m0, u1, (jr @ r1 + ju @ u1) / m0]
-        )
-
-    y0 = np.concatenate(
-        [run0.r[0], run0.u[0], np.asarray(r1_0, dtype=float), np.asarray(u1_0, dtype=float)]
-    )
-    ys = _rk4(deriv, y0, float(t[0]), dt, len(run0) - 1)
-    scale = max(float(np.abs(run0.r).max()), 1.0)
-    if not np.allclose(ys[:, :3], run0.r, rtol=0.0, atol=1e-9 * scale):
-        raise ValueError("zero-order trajectory does not match its own re-integration")
-    return Trajectory(t=t, r=ys[:, 6:9], u=ys[:, 9:])
+    M = _linearization(run0, f, m0)["M"]
+    ys = np.empty((len(run0), 6))
+    ys[0, :3], ys[0, 3:] = r1_0, u1_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, Mk in enumerate(M):
+            ys[k + 1] = Mk @ ys[k]
+    bad = ~np.isfinite(ys).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite state at step {int(bad.argmax())}")
+    return Trajectory(t=run0.t, r=ys[:, :3], u=ys[:, 3:])
 
 
-def _time_force_series(run0: Trajectory, run1: Trajectory, f: ForceLaw) -> np.ndarray:
-    out = np.empty_like(run1.r)
-    for i in range(len(run0)):
-        jr, ju = force_jacobians(f, (run0.r[i], run0.u[i], run0.t[i]))
-        out[i] = jr @ run1.r[i] + ju @ run1.u[i]
-    return out
+def _time_force_series(run0: Trajectory, run1: Trajectory, f: ForceLaw, m0: float) -> np.ndarray:
+    return (_linearization(run0, f, m0)["J"] @ np.hstack([run1.r, run1.u])[:, :, None])[:, :, 0]
 
 
 def time_force(run: PerturbationRun, f: ForceLaw) -> np.ndarray:
@@ -266,7 +314,7 @@ def time_force(run: PerturbationRun, f: ForceLaw) -> np.ndarray:
     the Jacobians on the zero-order trajectory: the explicit extra force the
     slow-motion split attributes to the changed course of time.
     """
-    return _time_force_series(run.zero_order, run.correction, f)
+    return _time_force_series(run.zero_order, run.correction, f, run.m0)
 
 
 def expansion_residual(f: ForceLaw, run: PerturbationRun) -> float:
@@ -285,16 +333,12 @@ def expansion_residual(f: ForceLaw, run: PerturbationRun) -> float:
     identically zero for a linear force, O(|r1|^2) for a curved one.
     """
     run0, run1 = run.zero_order, run.correction
-    t, m0 = run0.t, run.m0
-    n = len(run0)
-    if n < 3:
+    t = run0.t
+    if len(run0) < 3:
         raise ValueError("run too short for the derivative stencil")
-    lin = np.empty((n, 3))  # m0 * du'/dt from the integrated equations
-    full = np.empty((n, 3))  # F at the composite state
-    for i in range(n):
-        jr, ju = force_jacobians(f, (run0.r[i], run0.u[i], t[i]))
-        lin[i] = f(run0.r[i], run0.u[i], t[i]) + jr @ run1.r[i] + ju @ run1.u[i]
-        full[i] = f(run0.r[i] + run1.r[i], run0.u[i] + run1.u[i], t[i])
+    # m0 * du'/dt from the integrated equations, and F at the composite state
+    lin = _linearization(run0, f, run.m0)["F"] + _time_force_series(run0, run1, f, run.m0)
+    full = np.array([f(r, u, ti) for r, u, ti in zip(run0.r + run1.r, run0.u + run1.u, t)])
     defect = lin - full
     d_defect = (defect[2:] - defect[:-2]) / (t[2:] - t[:-2])[:, None]
     x0 = run0.r[1:-1, 0]
@@ -326,7 +370,7 @@ def solve_perturbation(
     )
     return PerturbationRun(
         zero_order=run0, correction=run1, v0=float(v0), m0=float(m0),
-        time_force=_time_force_series(run0, run1, f),
+        time_force=_time_force_series(run0, run1, f, m0),
     )
 
 
@@ -348,19 +392,21 @@ def residual_sweep(
 ) -> tuple[np.ndarray, float]:
     """Expansion residual versus boost speed, with the fitted scaling exponent.
 
-    For each v0 the correction is seeded with r1(0) = v0 * seed_direction
-    (the correction's natural magnitude scales with the boost speed) and the
-    residual of the composite trajectory is recorded.  Returns the residual
-    array and the fitted log-log exponent; for a force with curvature the
-    remainder is quadratic in the seed, so the exponent lands near 2, and
-    any value >= ~1 confirms the expansion error vanishes with v0.
+    The zero-order run is solved once.  For each v0 the correction along it
+    is seeded with r1(0) = v0 * seed_direction (the correction's natural
+    magnitude scales with the boost speed) and the residual of the composite
+    trajectory is recorded.  Returns the residual array and the fitted
+    log-log exponent; for a force with curvature the remainder is quadratic
+    in the seed, so the exponent lands near 2, and any value >= ~1 confirms
+    the expansion error vanishes with v0.
     """
     seed = np.asarray(seed_direction, dtype=float)
+    run0 = zero_order_solve(f, r0, u0, m0, t_span, dt)
     residuals = []
     for v0 in v0_values:
-        run = solve_perturbation(
-            f, r0, u0, m0, t_span, dt, v0, r1_0=float(v0) * seed
-        )
+        run1 = correction_solve(run0, f, float(v0) * seed, np.zeros(3), m0)
+        run = PerturbationRun(run0, run1, float(v0), float(m0),
+                              _time_force_series(run0, run1, f, m0))
         residuals.append(expansion_residual(f, run))
     residuals = np.asarray(residuals)
     return residuals, fit_power_law(np.asarray(v0_values, dtype=float), residuals)

@@ -94,12 +94,16 @@ def _need(cfg: dict, key: str, ctx: str = "scenario"):
     return cfg[key]
 
 
-def _section(cfg: dict, key: str, default=None, kind: type = dict):
-    """Sub-config ``key`` (required unless a default is given), checked to be a ``kind``."""
+def _section(cfg: dict, key: str, default=None, kind: type = dict, source=None):
+    """Sub-config ``key`` (required unless a default is given), checked to be a ``kind``.
+
+    ``source``, the file the config came from, prefixes the error message.
+    """
     value = _need(cfg, key) if default is None else cfg.get(key, default)
     if not isinstance(value, kind):
         what = "a JSON object" if kind is dict else "a JSON array"
-        raise ScenarioConfigError(f"{key}: expected {what}, got {value!r}")
+        where = "" if source is None else f"{source}: "
+        raise ScenarioConfigError(f"{where}{key}: expected {what}, got {value!r}")
     return value
 
 
@@ -361,14 +365,14 @@ def _read_worldline_file(path) -> tuple[Worldline, float | None, FieldConfig | N
         raise ScenarioConfigError(
             f"{meta_path}: frame_tag must be {FRAME_KPRIME!r} or {FRAME_K!r}, got {frame_tag!r}"
         )
-    v0 = meta.get("boost", {}).get("v0")
-    fld = meta.get("field")
-    field = None if not fld else FieldConfig(
+    v0 = _section(meta, "boost", {}, source=meta_path).get("v0")
+    fld = None if meta.get("field") is None else _section(meta, "field", source=meta_path)
+    field = None if fld is None else FieldConfig(
         E=_vec3(_need(fld, "E", "sidecar field"), "sidecar field.E"),
         B=_vec3(_need(fld, "B", "sidecar field"), "sidecar field.B"),
         frame_tag=frame_tag,
     )
-    particle = meta.get("particle", {})
+    particle = _section(meta, "particle", {}, source=meta_path)
     try:
         w = load_worldline_csv(path, frame_tag=frame_tag)
     except ValueError as exc:

@@ -1,12 +1,14 @@
 """Zero-order solves, Jacobians, the linear correction and its residual diagnostics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from chronodyn.perturbation import (
     ForceLaw,
+    PerturbationRun,
     correction_solve,
     expansion_residual,
     fit_power_law,
@@ -267,3 +269,147 @@ def test_residual_of_zero_order_alone_vs_composite():
 def test_fit_power_law():
     x = np.array([1.0, 2.0, 4.0])
     assert fit_power_law(x, 3.0 * x**1.7) == pytest.approx(1.7, abs=1e-12)
+
+
+# -- the cached linearization --------------------------------------------------
+
+class _CountingForce:
+    """F = -k r - 0.5 |r|^2 r, counting its own evaluations."""
+
+    def __init__(self, k=1.0):
+        self.k, self.calls = k, 0
+
+    def __call__(self, r, u, t):
+        self.calls += 1
+        return -self.k * r - 0.5 * float(r @ r) * r
+
+
+def test_zero_order_run_is_linearized_once():
+    evals = _CountingForce()
+    f = ForceLaw(evaluate=evals)  # finite-difference Jacobians
+    args = ([1.0, 0.0, 0.0], [0.0, 0.1, 0.0], 1.0, (0.0, 1.0), 2e-3)
+    run0 = zero_order_solve(f, *args)
+    solve_cost = evals.calls
+    first = correction_solve(run0, f, [1e-3, 0, 0], [0, 0, 0], 1.0)
+    linearize_cost = evals.calls - solve_cost
+    correction_solve(run0, f, [0, 1e-3, 0], [0, 0, 1e-3], 1.0)
+    again = correction_solve(run0, f, [1e-3, 0, 0], [0, 0, 0], 1.0)
+    assert evals.calls == solve_cost + linearize_cost
+    assert np.array_equal(again.r, first.r)
+
+    evals.calls = 0
+    v0_values = [0.001, 0.002, 0.004]
+    residuals, _ = residual_sweep(f, *args, v0_values)
+    assert evals.calls < 2 * (solve_cost + linearize_cost)
+    for v0, residual in zip(v0_values, residuals):
+        run = solve_perturbation(f, *args, v0, r1_0=[v0, 0.0, 0.0])
+        assert residual == expansion_residual(f, run)
+
+
+def test_run_solved_with_another_law_object_is_checked_once():
+    f = ForceLaw(evaluate=_CountingForce())
+    run0 = zero_order_solve(f, [1, 0, 0], [0, 0.1, 0], 1.0, (0.0, 2.0), 2e-3)
+    own = correction_solve(run0, f, [1e-3, 0, 0], [0, 1e-3, 0], 1.0)
+    twin = ForceLaw(evaluate=_CountingForce())
+    assert np.array_equal(correction_solve(run0, twin, [1e-3, 0, 0], [0, 1e-3, 0], 1.0).r, own.r)
+    off = ForceLaw(evaluate=_CountingForce(k=1.01))
+    with pytest.raises(ValueError, match="does not match its own re-integration"):
+        correction_solve(run0, off, [1e-3, 0, 0], [0, 0, 0], 1.0)
+
+
+def test_solved_run_pickles_without_its_force_law():
+    f = _harmonic()  # lambdas: cannot be pickled
+    run = solve_perturbation(f, [1, 0, 0], [0, 0, 0], 1.0, (0.0, 1.0), 1e-2, 0.01, [1e-3, 0, 0])
+    copied = pickle.loads(pickle.dumps(run))
+    again = correction_solve(copied.zero_order, f, [1e-3, 0, 0], [0, 0, 0], 1.0)
+    assert np.array_equal(again.r, run.correction.r)
+
+
+# -- equivalence with the lock-step solver -------------------------------------
+
+def _reference_rk4(deriv, y0, t0, dt, n_steps):
+    out = np.empty((n_steps + 1, y0.shape[0]))
+    out[0] = y0
+    y = y0
+    for i in range(n_steps):
+        t = t0 + i * dt
+        k1 = deriv(y, t)
+        k2 = deriv(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = deriv(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = deriv(y + dt * k3, t + dt)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+    return out
+
+
+def _reference_solve(f, r0, u0, m0, t_span, dt, r1_0, u1_0):
+    """The lock-step solver: zero order, then the 12-vector (r0, u0, r1, u1)
+    re-advanced together with per-stage Jacobians, then the time force sample
+    by sample.  Returns (r0, u0, r1, u1, time force)."""
+    t0 = float(t_span[0])
+    n = max(1, math.ceil((t_span[1] - t0) / dt - 1e-12))
+
+    def zero_deriv(y, t):
+        return np.concatenate([y[3:], f(y[:3], y[3:], t) / m0])
+
+    ys0 = _reference_rk4(zero_deriv, np.concatenate([r0, u0]).astype(float), t0, dt, n)
+    t = t0 + dt * np.arange(n + 1)
+
+    def deriv(y, tt):
+        r, u, r1, u1 = y[:3], y[3:6], y[6:9], y[9:]
+        jr, ju = force_jacobians(f, (r, u, tt))
+        return np.concatenate([u, f(r, u, tt) / m0, u1, (jr @ r1 + ju @ u1) / m0])
+
+    y0 = np.concatenate([ys0[0], r1_0, u1_0]).astype(float)
+    ys = _reference_rk4(deriv, y0, float(t[0]), float(np.diff(t)[0]), n)
+    force = np.empty((n + 1, 3))
+    for i in range(n + 1):
+        jr, ju = force_jacobians(f, (ys0[i, :3], ys0[i, 3:], t[i]))
+        force[i] = jr @ ys[i, 6:9] + ju @ ys[i, 9:]
+    return ys0[:, :3], ys0[:, 3:], ys[:, 6:9], ys[:, 9:], force
+
+
+def _random_law():
+    rng = np.random.default_rng(47)
+    A = rng.uniform(-1, 1, (3, 3))
+    C = rng.uniform(-0.3, 0.3, (3, 3))
+    return ForceLaw(evaluate=lambda r, u, t: A @ r + C @ u - 0.4 * float(r @ r) * r)
+
+
+# law, r0, u0, t_span, dt, r1_0, u1_0
+EQUIVALENCE_CASES = {
+    "readme-harmonic": (_harmonic, [1, 0, 0], [0, 0, 0], (0.0, 12.566), 2e-3,
+                        [1e-3, 0, 0], [0, 0, 0]),
+    "anharmonic": (_anharmonic, [1, 0, 0], [0, 0.1, 0], (0.0, 4.0), 2e-3,
+                   [1e-3, 0, 0], [0, 1e-3, 0]),
+    # from t0 = 0.3 the grid spacing t[1] - t[0] differs from dt in the last bit
+    "random-fd-from-0.3": (_random_law, [0.6, 0.2, -0.1], [0, 0.1, 0], (0.3, 2.3), 2e-3,
+                           [1e-3, 0, -2e-3], [0, 1e-3, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_solve_matches_lock_step_reference(case):
+    law, r0, u0, span, dt, r1_0, u1_0 = EQUIVALENCE_CASES[case]
+    ref_r0, ref_u0, ref_r1, ref_u1, ref_force = _reference_solve(
+        law(), r0, u0, 1.0, span, dt, r1_0, u1_0
+    )
+    run0 = zero_order_solve(law(), r0, u0, 1.0, span, dt)
+    assert np.array_equal(run0.r, ref_r0) and np.array_equal(run0.u, ref_u0)
+    # a second law object has no cached stage states for run0: it is
+    # re-integrated on the grid spacing t[1] - t[0], as the reference does
+    f = law()
+    run1 = correction_solve(run0, f, r1_0, u1_0, 1.0)
+    force = time_force(PerturbationRun(run0, run1, 0.0, 1.0, np.empty(0)), f)
+    # solved in one call, the run is linearized at its own stage states, taken
+    # with dt.  Where dt and t[1] - t[0] differ in the last bit, finite-
+    # difference Jacobians (roundoff ~1e-16 over a 1e-6 step) carry that into
+    # r1 at ~1e-12 of its size.
+    run = solve_perturbation(f, r0, u0, 1.0, span, dt, v0=0.0, r1_0=r1_0, u1_0=u1_0)
+    scale = np.abs(ref_r1).max()
+    own_steps = 1e-12 if float(np.diff(run0.t)[0]) == dt else 1e-10
+    for r1, u1, fc, tol in ((run1.r, run1.u, force, 1e-12),
+                            (run.correction.r, run.correction.u, run.time_force, own_steps)):
+        assert np.abs(r1 - ref_r1).max() < tol * scale
+        assert np.abs(u1 - ref_u1).max() < tol * scale
+        assert np.abs(fc - ref_force).max() < tol * scale

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -216,7 +217,7 @@ def test_bundled_outputs_match_golden_hashes(tmp_path):
         "sim/timemap.csv": "127437c650b9cb3d5de1eb869977304b02c42ee0934b462ee239ba9bb76f961b",
         "sim/energy.csv": "82e8a003a1f3b3fbc253b9f22b639984eb24661237e3964f73a7674374a79aef",
         "sim/summary.json": "f3657c916a5119c52aa491dbd64fad94e16f09c9a4c6f834b2c9cb82027913e7",
-        "perturb/run.csv": "14881d25ce62b67bdfe082335824e551d3405534b09c5dd27dc5df1624ffcaad",
+        "perturb/run.csv": "a368f43446145622091146cd0f3f489f3348b630624ce0df388ebca63cff64e5",
         "perturb/summary.json": "fc922aa68cd01fd91a625cb854869ce296de699612466474053eaba56b4f2811",
     }
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
@@ -329,19 +330,36 @@ def test_cli_numeric_error_exit_3(tmp_path):
     assert not any(out.glob("*"))
 
 
+def test_cli_perturb_numeric_failure_names_the_step(tmp_path):
+    cfg = {**README_PERTURB, "force": {"kind": "harmonic", "k": 4.0},
+           "correction_initial": {"r1": [1e308, 0, 0], "u1": [0, 0, 0]},
+           "t_span": [0.0, 1.0], "dt": 0.01}
+    out = tmp_path / "out"
+    proc = _cli("perturb", _json_file(tmp_path / "p.json", cfg), "--out", str(out))
+    assert proc.returncode == 3
+    assert re.search(r"non-finite state at step \d+", proc.stderr), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _json_file(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
 
 
-def _sidecar_without_e(tmp_path):
-    sim = tmp_path / "sim"
-    run_scenario(parse_scenario(_cyclotron_cfg()), sim)
-    meta_path = sim / "worldline_kprime.meta.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["field"]["E"]
-    meta_path.write_text(json.dumps(meta))
-    return ["timemap", str(sim / "worldline_kprime.csv"), "--method", "dynamic"]
+def _edited_sidecar(edit):
+    """argv builder: ``timemap`` on a simulated K' file whose sidecar ``edit`` changed."""
+
+    def build(tmp_path):
+        sim = tmp_path / "sim"
+        run_scenario(parse_scenario(_cyclotron_cfg()), sim)
+        meta_path = sim / "worldline_kprime.meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        return ["timemap", str(sim / "worldline_kprime.csv"), "--method", "dynamic"]
+
+    return build
 
 
 def _unwritable_out(tmp_path):
@@ -393,7 +411,17 @@ CONFIG_ERROR_CASES = {
             tmp / "p.json", {**README_PERTURB, "correction_initial": [1, 2]})],
         "correction_initial",
     ),
-    "sidecar-field-without-E": (_sidecar_without_e, "'E'"),
+    "sidecar-field-without-E": (_edited_sidecar(lambda meta: meta["field"].pop("E")), "'E'"),
+    "sidecar-boost-not-an-object": (
+        _edited_sidecar(lambda meta: meta.update(boost=5)), "worldline_kprime.meta.json: boost"),
+    "sidecar-particle-not-an-object": (
+        _edited_sidecar(lambda meta: meta.update(particle=5)),
+        "worldline_kprime.meta.json: particle"),
+    "sidecar-field-not-an-object": (
+        _edited_sidecar(lambda meta: meta.update(field=5)), "worldline_kprime.meta.json: field"),
+    "sidecar-field-an-array": (
+        _edited_sidecar(lambda meta: meta.update(field=[1, 2])),
+        "worldline_kprime.meta.json: field"),
     "unwritable-out": (_unwritable_out, "blocker"),
 }
 
