@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .dynamics import FieldConfig, boost_field_config
 from .frames import Boost, Worldline, _boost_velocities, _require_frame, _write_csv
@@ -84,8 +82,42 @@ class TimeMap:
         object.__setattr__(self, "t_accumulated", ta)
 
 
+def _simpson_h1(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integrals over [x_i, x_i+1] of the parabola through samples i, i+1, i+2.
+
+    Eqn (8) of Cartwright, J. Math. Sci. Math. Educ. 12(2) (2017); applied
+    to the reversed arrays it gives the integrals over [x_i+1, x_i+2].
+    """
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * (
+        (3 - x21_x31) * y[:-2]
+        + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+        - x21x21_x31x32 * y[2:]
+    )
+
+
 def _accumulate(t_prime: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return cumulative_simpson(g, x=t_prime, initial=0.0)
+    """Cumulative Simpson integral of g over t', starting at 0.
+
+    Each sub-interval takes its own parabola: the forward one (h1) on even
+    sub-intervals, the backward one (h2) on odd ones and on the last.  The
+    order of operations is scipy's ``cumulative_simpson(g, x=t_prime,
+    initial=0.0)``, whose results this reproduces bit for bit; below three
+    samples it falls back to trapezoids, as scipy does.
+    """
+    dx = np.diff(t_prime)
+    if len(g) < 3:
+        pieces = dx * (g[1:] + g[:-1]) / 2.0
+    else:
+        h1 = _simpson_h1(g, dx)
+        h2 = _simpson_h1(g[::-1], dx[::-1])[::-1]
+        pieces = np.empty(len(dx))
+        pieces[:-1:2] = h1[::2]
+        pieces[1::2] = h2[::2]
+        pieces[-1] = h2[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def time_map_kinematic(w_prime: Worldline, b: Boost) -> TimeMap:
@@ -147,6 +179,8 @@ def _four_forces_both_frames(w_prime: Worldline, f_prime: FieldConfig, b: Boost)
 
 def _check_solves_motion(w: Worldline, f: FieldConfig, m0: float, e: float, rel_tol: float):
     """Spot-check dp/dt ~ e*(E + u x B) by central differences."""
+    if len(w) < 3:
+        raise ValueError(f"dynamic time map needs at least 3 samples, got {len(w)}")
     u2 = np.sum(w.u * w.u, axis=1)
     p = m0 * w.u / np.sqrt(1.0 - u2)[:, None]
     dp = (p[2:] - p[:-2]) / (w.t[2:] - w.t[:-2])[:, None]
@@ -289,6 +323,111 @@ def index_independence_report(
     )
 
 
+def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] by cyclic reduction.
+
+    ``d`` is (k, n), one right-hand side per row; a[0] and c[-1] are
+    ignored.  Each level folds the even unknowns into the odd equations,
+    solves that half-size system and back-substitutes the even unknowns, all
+    as array operations.  There is no pivoting: the matrix must be diagonally
+    dominant, which the folding preserves.
+    """
+    n = len(b)
+    if n == 1:
+        return d / b
+    if n % 2 == 0:  # an identity row x[n] = 0 gives every odd row two neighbours
+        a, b, c = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0)
+        d = np.concatenate([d, np.zeros_like(d[:, :1])], axis=1)
+    ae, be, ce, de = a[::2], b[::2], c[::2], d[:, ::2]
+    ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[:, 1::2]
+    left = -ao / be[:-1]  # odd row k against even row k
+    right = -co / be[1:]  # odd row k against even row k + 1
+    xo = _solve_tridiagonal(
+        left * ae[:-1],
+        bo + left * ce[:-1] + right * ae[1:],
+        right * ce[1:],
+        do + left * de[:, :-1] + right * de[:, 1:],
+    )
+    xe = de.copy()
+    xe[:, 1:] -= ae[1:] * xo
+    xe[:, :-1] -= ce[:-1] * xo
+    x = np.empty_like(d)
+    x[:, ::2] = xe / be
+    x[:, 1::2] = xo
+    return x[:, :n]
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y[j]) for each row y[j] of y (k, n).
+
+    The knot slopes solve the tridiagonal system that scipy's ``CubicSpline``
+    builds (de Boor, *A Practical Guide to Splines*, ch. IV).  As there, two
+    samples give the line and three the interpolating parabola, where the
+    two not-a-knot conditions coincide.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = len(x)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        s = np.empty_like(y)
+        if n == 2:
+            s[:] = slope
+        elif n == 3:
+            s[:, 1] = (dx[1] * slope[:, 0] + dx[0] * slope[:, 1]) / (x[2] - x[0])
+            s[:, 0] = 2 * slope[:, 0] - s[:, 1]
+            s[:, 2] = 2 * slope[:, 1] - s[:, 1]
+        else:
+            # interior rows: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+            diag = 2 * (dx[:-1] + dx[1:])
+            rhs = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+            # not-a-knot end rows: dx[1] s[0] + d0 s[1] = r0 and
+            # dn s[n-2] + dx[-2] s[n-1] = rn.  Their s[0] and s[n-1]
+            # coefficients equal those in the neighbouring interior rows, so
+            # subtracting them leaves a diagonally dominant system in s[1:-1].
+            d0, dn = x[2] - x[0], x[-1] - x[-3]
+            r0 = ((dx[0] + 2 * d0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / d0
+            rn = (dx[-1] ** 2 * slope[:, -2] + (2 * dn + dx[-1]) * dx[-2] * slope[:, -1]) / dn
+            diag[0] -= d0
+            diag[-1] -= dn
+            rhs[:, 0] -= r0
+            rhs[:, -1] -= rn
+            s[:, 1:-1] = _solve_tridiagonal(dx[1:], diag, dx[:-1], rhs)
+            s[:, 0] = (r0 - d0 * s[:, 1]) / dx[1]
+            s[:, -1] = (rn - dn * s[:, -2]) / dx[-2]
+        self.x, self.y, self.s = x, y, s
+
+    def _pieces(self, p):
+        """Interval index, offset from its left knot and its power-basis
+        coefficients in (x - x[i]), highest first, at the points p."""
+        i = np.clip(np.searchsorted(self.x, p, side="right") - 1, 0, len(self.x) - 2)
+        dx = self.x[i + 1] - self.x[i]
+        y0, s0, s1 = self.y[:, i], self.s[:, i], self.s[:, i + 1]
+        slope = (self.y[:, i + 1] - y0) / dx
+        t = (s0 + s1 - 2 * slope) / dx
+        return i, p - self.x[i], (t / dx, (slope - s0) / dx - t, s0, y0)
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        _, h, (c3, c2, c1, c0) = self._pieces(p)
+        return ((c3 * h + c2) * h + c1) * h + c0
+
+    def integrate(self, a: float, b: float) -> np.ndarray:
+        """Integral over [a, b] (a <= b, both within the knots), per row."""
+        ia, ha, ca = self._pieces(a)
+        ib, hb, cb = self._pieces(b)
+        dx = np.diff(self.x[ia : ib + 1])
+        y, s = self.y[:, ia : ib + 1], self.s[:, ia : ib + 1]
+        # the Hermite rule is exact for the cubic on each whole interval
+        whole = dx / 2 * (y[:, :-1] + y[:, 1:]) + dx * dx / 12 * (s[:, :-1] - s[:, 1:])
+        return whole.sum(axis=1) + _antiderivative(cb, hb) - _antiderivative(ca, ha)
+
+
+def _antiderivative(c, h):
+    """Integral from 0 to h of the cubic with power-basis coefficients c."""
+    c3, c2, c1, c0 = c
+    return (((c3 / 4 * h + c2 / 3) * h + c1 / 2) * h + c0) * h
+
+
 def period_map_numeric(
     w_prime: Worldline,
     b: Boost,
@@ -302,8 +441,8 @@ def period_map_numeric(
     The worldline must cover the window and repeat with period ``T_prime``
     (velocity checked at matching phases).  A full window (window = 1) is
     independent of ``t0_prime``; a half window oscillates with it.  The
-    integrand is interpolated with a cubic spline, so ``t0_prime`` need not
-    sit on a grid point.
+    integrand is interpolated with a not-a-knot cubic spline, so
+    ``t0_prime`` need not sit on a grid point.
     """
     _require_frame(w_prime.frame_tag, b.frame_prime, "worldline")
     if T_prime <= 0.0:
@@ -314,20 +453,21 @@ def period_map_numeric(
         raise ValueError(
             f"window [{t0_prime}, {t_end}] not covered by worldline [{t[0]}, {t[-1]}]"
         )
-    # periodicity spot-check: u(t) must repeat one period later
-    if t[-1] - t[0] >= T_prime:
-        probes = np.linspace(t[0], t[-1] - T_prime, 7)
-        u_spline = CubicSpline(t, w_prime.u, axis=0)
-        miss = float(np.abs(u_spline(probes) - u_spline(probes + T_prime)).max())
-        if miss > periodicity_tol:
-            raise ValueError(
-                f"worldline is not T'-periodic: velocity mismatch {miss:.3e} "
-                f"over one period exceeds {periodicity_tol:.1e}"
-            )
-    else:
+    if t[-1] - t[0] < T_prime:
         raise ValueError("worldline shorter than one period; cannot verify periodicity")
+    # one spline for g and u, which share the grid
     g = b.gamma * (1.0 + b.v0 * w_prime.u[:, 0])
-    return float(CubicSpline(t, g).integrate(t0_prime, t_end))
+    spline = _CubicSpline(t, np.vstack([g, w_prime.u.T]))
+    # periodicity spot-check: u(t) must repeat one period later
+    probes = np.linspace(t[0], t[-1] - T_prime, 7)
+    u = spline(np.concatenate([probes, probes + T_prime]))[1:]
+    miss = float(np.abs(u[:, :7] - u[:, 7:]).max())
+    if miss > periodicity_tol:
+        raise ValueError(
+            f"worldline is not T'-periodic: velocity mismatch {miss:.3e} "
+            f"over one period exceeds {periodicity_tol:.1e}"
+        )
+    return float(spline.integrate(t0_prime, t_end)[0])
 
 
 def simultaneity_series(w1_prime: Worldline, w2_prime: Worldline, b: Boost) -> np.ndarray:

@@ -314,52 +314,18 @@ class Worldline:
         return Event(t=self.t[i], r=self.r[i].copy(), frame_tag=self.frame_tag)
 
 
-def boost_worldline(
-    w: Worldline,
-    b: Boost,
-    direction: str = "forward",
-    n_resample: int | None = None,
-) -> Worldline:
+def boost_worldline(w: Worldline, b: Boost, direction: str = "forward") -> Worldline:
     """Boost every sample of a worldline into the other frame.
 
     Events map through the coordinate transformation and velocities through
     the velocity map.  The target-frame times come out already monotone
-    (dt/dt' = gamma*(1 + v0*ux') > 0 for subluminal motion).  When
-    ``n_resample`` is given, the result is re-sampled onto a uniform
-    target-time grid by monotone cubic (PCHIP) interpolation of the
-    positions, with velocities taken from the interpolant's derivative.
+    (dt/dt' = gamma*(1 + v0*ux') > 0 for subluminal motion).
     """
     v0, src, dst = b._oriented(direction)
     _require_frame(w.frame_tag, src, f"worldline for the {direction} boost")
     t_new, r_new = _boost_coords(w.t, w.r, v0, b.gamma)
     u_new = _boost_velocities(w.u, v0, b.gamma)
-    out = Worldline(frame_tag=dst, t=t_new, r=r_new, u=u_new)
-    if n_resample is None:
-        return out
-    return resample_worldline(out, n_resample)
-
-
-def resample_worldline(w: Worldline, n: int) -> Worldline:
-    """Re-sample a worldline onto a uniform time grid of ``n`` points.
-
-    Positions go through shape-preserving cubic (PCHIP) interpolation;
-    velocities are the interpolant's derivative, so they agree with the
-    positions to the scheme's order rather than echoing stale samples.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    if n < 2:
-        raise ValueError("need at least two resample points")
-    t_new = np.linspace(w.t[0], w.t[-1], n)
-    interp = PchipInterpolator(w.t, w.r, axis=0)
-    r_new = interp(t_new)
-    u_new = interp.derivative()(t_new)
-    # PCHIP endpoint derivatives can overshoot |u| = 1 by roundoff
-    speeds = np.linalg.norm(u_new, axis=1)
-    bad = speeds >= 1.0
-    if np.any(bad):
-        u_new[bad] *= (1.0 - 1e-15) / speeds[bad, None]
-    return Worldline(frame_tag=w.frame_tag, t=t_new, r=r_new, u=u_new)
+    return Worldline(frame_tag=dst, t=t_new, r=r_new, u=u_new)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicSpline
 
 from chronodyn.analytic import (
     CyclotronParams,
     OscDriftParams,
     UniformEParams,
+    cyclotron_state,
     cyclotron_worldline,
     electric_time_map,
     magnetic_half_period_map,
@@ -19,6 +22,8 @@ from chronodyn.analytic import (
 )
 from chronodyn.chronometry import (
     DegenerateForceError,
+    _accumulate,
+    _CubicSpline,
     TimeMap,
     index_independence_report,
     period_map_numeric,
@@ -233,6 +238,51 @@ def test_period_map_rejects_uncovered_window():
     p, w, _ = _cyclotron(periods=1.0, n=1001)
     with pytest.raises(ValueError, match="not covered"):
         period_map_numeric(w, b, p.period_prime, 0.5 * p.period_prime, window=1.0)
+
+
+# -- the in-package quadrature against the scipy routines it replaced ---------
+
+def _sampled_orbit(n, uniform):
+    """1.5 periods of a cyclotron orbit on n knots, uniform or jittered."""
+    p = CyclotronParams(u0_prime=0.3, B_prime=1.0, alpha=0.3)
+    t = np.linspace(0.0, 1.5 * p.period_prime, n)
+    if not uniform:
+        t[1:-1] += np.random.default_rng(n).uniform(-0.3, 0.3, n - 2) * (t[1] - t[0])
+    r, u = cyclotron_state(p, t)
+    return p, Worldline(frame_tag="Kprime", t=t, r=r, u=u)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 100, 3001])
+def test_accumulate_is_scipy_cumulative_simpson(n, uniform):
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 3.0, n) if uniform else np.cumsum(rng.uniform(0.1, 1.0, n))
+    g = rng.uniform(0.5, 2.0, n)
+    assert np.array_equal(_accumulate(t, g), cumulative_simpson(g, x=t, initial=0.0))
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 3001])
+def test_period_map_integral_matches_scipy_spline(n, uniform):
+    p, w = _sampled_orbit(n, uniform)
+    b = Boost(0.6)
+    t_p = p.period_prime
+    ref = CubicSpline(w.t, b.gamma * (1.0 + b.v0 * w.u[:, 0]))
+    # a knot (the first one on short grids) and a point between knots
+    for t0 in (w.t[(n - 1) // 6], 0.37 * t_p):
+        for window in (1.0, 0.5):
+            got = period_map_numeric(w, b, t_p, t0, window=window, periodicity_tol=np.inf)
+            assert got == pytest.approx(ref.integrate(t0, t0 + window * t_p), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 3001])
+def test_spline_velocity_at_periodicity_probes_matches_scipy(n, uniform):
+    p, w = _sampled_orbit(n, uniform)
+    probes = np.linspace(w.t[0], w.t[-1] - p.period_prime, 7)
+    probes = np.concatenate([probes, probes + p.period_prime])
+    got = _CubicSpline(w.t, w.u.T)(probes).T
+    assert np.abs(got - CubicSpline(w.t, w.u, axis=0)(probes)).max() < 1e-14
 
 
 # -- simultaneity series -----------------------------------------------------

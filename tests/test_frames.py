@@ -21,7 +21,6 @@ from chronodyn.frames import (
     load_worldline_csv,
     lorentz_gamma,
     proper_time_rate,
-    resample_worldline,
     save_worldline_csv,
     spatial_scale_ratio,
     velocity_addition_x,
@@ -380,15 +379,6 @@ def test_stored_velocities_match_position_differences():
     fd = (w.r[2:] - w.r[:-2]) / (w.t[2:, None] - w.t[:-2, None])
     h = w.t[1] - w.t[0]
     assert np.abs(fd - w.u[1:-1]).max() < h * h  # 2nd-order agreement
-
-
-def test_resample_worldline():
-    _, w = _orbit(n=401)
-    out = resample_worldline(w, 1001)
-    assert out.t.shape == (1001,)
-    assert np.all(np.diff(out.t) > 0)
-    ref = cyclotron_worldline(_orbit()[0], out.t[0], out.t[-1], 1001)
-    assert np.abs(out.r - ref.r).max() < 2e-5  # PCHIP interpolation error at h ~ 0.016
 
 
 def test_worldline_csv_round_trip(tmp_path, monkeypatch):

@@ -342,6 +342,55 @@ def test_cli_perturb_numeric_failure_names_the_step(tmp_path):
     assert not out.exists()
 
 
+def test_cli_simulate_three_sample_cyclotron(tmp_path):
+    # the not-a-knot conditions coincide on three knots: the spline is their parabola
+    cfg = _cyclotron_cfg(time_grid={"periods": 1, "per_period": 2})
+    out = tmp_path / "out"
+    proc = _cli("simulate", _json_file(tmp_path / "sc.json", cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    t_numeric = json.loads((out / "summary.json").read_text())["period"]["T_numeric"]
+    assert t_numeric == pytest.approx(7.739217263500612, rel=1e-12)
+
+
+def _two_row_kprime_file(tmp_path):
+    sim = tmp_path / "sim"
+    run_scenario(parse_scenario(_cyclotron_cfg()), sim)
+    rows = (sim / "worldline_kprime.csv").read_text().splitlines()[:3]
+    (tmp_path / "two.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "two.meta.json").write_bytes((sim / "worldline_kprime.meta.json").read_bytes())
+    return ["timemap", str(tmp_path / "two.csv"), "--method", "dynamic"]
+
+
+TWO_SAMPLE_DYNAMIC_CASES = {
+    "simulate-cyclotron": lambda tmp: ["simulate", _json_file(
+        tmp / "sc.json", _cyclotron_cfg(
+            time_grid={"periods": 1, "per_period": 1}, timemap_method="dynamic"))],
+    "simulate-field": lambda tmp: ["simulate", _json_file(
+        tmp / "sc.json", _field_cfg(integrator={"method": "rk4", "dt": 0.01, "n_steps": 1}))],
+    "timemap-file": _two_row_kprime_file,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_SAMPLE_DYNAMIC_CASES))
+def test_cli_dynamic_map_on_two_samples_names_the_count(tmp_path, case):
+    out = tmp_path / "out"
+    proc = _cli(*TWO_SAMPLE_DYNAMIC_CASES[case](tmp_path), "--out", str(out))
+    assert proc.returncode == 3
+    assert "dynamic time map needs at least 3 samples, got 2" in proc.stderr
+    assert "zero-size" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, chronodyn, chronodyn.cli, chronodyn.acceptance; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _json_file(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
