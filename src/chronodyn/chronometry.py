@@ -40,6 +40,10 @@ __all__ = [
 #: Fraction of the local 4-force scale below which a component is
 #: considered degenerate and excluded from the dynamic ratio.
 DEGENERACY_THRESHOLD = 1e-9
+#: Widest spread allowed among a sample's defined dynamic ratios g_i.
+SPREAD_TOL = 1e-6
+#: Largest relative residual the equations-of-motion spot-check allows.
+MOTION_CHECK_TOL = 1e-3
 
 
 class DegenerateForceError(ValueError):
@@ -177,7 +181,7 @@ def _four_forces_both_frames(w_prime: Worldline, f_prime: FieldConfig, b: Boost)
     return fp, num, fl
 
 
-def _check_solves_motion(w: Worldline, f: FieldConfig, m0: float, e: float, rel_tol: float):
+def _check_solves_motion(w: Worldline, f: FieldConfig, m0: float, e: float):
     """Spot-check dp/dt ~ e*(E + u x B) by central differences."""
     if len(w) < 3:
         raise ValueError(f"dynamic time map needs at least 3 samples, got {len(w)}")
@@ -187,34 +191,26 @@ def _check_solves_motion(w: Worldline, f: FieldConfig, m0: float, e: float, rel_
     force = e * (f.E + np.cross(w.u[1:-1], f.B))
     scale = max(float(np.abs(force).max()), 1e-30)
     err = float(np.abs(dp - force).max()) / scale
-    if err > rel_tol:
+    if err > MOTION_CHECK_TOL:
         raise ValueError(
             f"worldline does not solve the equations of motion in this field "
-            f"(relative residual {err:.3e} > {rel_tol:.1e})"
+            f"(relative residual {err:.3e} > {MOTION_CHECK_TOL:.1e})"
         )
 
 
 def _dynamic_ratio_table(
-    w_prime: Worldline,
-    f_prime: FieldConfig,
-    b: Boost,
-    m0: float,
-    e: float,
-    threshold: float,
-    spread_tol: float,
-    motion_check_tol: float | None,
+    w_prime: Worldline, f_prime: FieldConfig, b: Boost, m0: float, e: float, threshold: float
 ):
     """Shared front half of the dynamic route: per-sample ratio candidates.
 
     Returns (num, denom, defined, ratios, spread) with NaN marking excluded
     (near-degenerate) components.  Raises on frame mismatch, a worldline
     that does not solve the motion, an everywhere-degenerate force, or
-    defined components that spread wider than ``spread_tol``.
+    defined components that spread wider than ``SPREAD_TOL``.
     """
     _require_frame(w_prime.frame_tag, b.frame_prime, "worldline")
     _require_frame(f_prime.frame_tag, w_prime.frame_tag, "fields")
-    if motion_check_tol is not None:
-        _check_solves_motion(w_prime, f_prime, m0, e, motion_check_tol)
+    _check_solves_motion(w_prime, f_prime, m0, e)
     _, num, denom = _four_forces_both_frames(w_prime, f_prime, b)
     scale = np.abs(denom).max(axis=1)
     if not np.all(scale > 0.0):
@@ -230,9 +226,9 @@ def _dynamic_ratio_table(
         ratios = np.where(defined, num / denom, np.nan)
     spread = np.nanmax(ratios, axis=1) - np.nanmin(ratios, axis=1)
     worst = float(np.max(spread))
-    if worst > spread_tol:
+    if worst > SPREAD_TOL:
         raise TimeMapInconsistencyError(
-            f"4-force component ratios disagree: max spread {worst:.3e} > {spread_tol:.1e}"
+            f"4-force component ratios disagree: max spread {worst:.3e} > {SPREAD_TOL:.1e}"
         )
     return num, denom, defined, ratios, spread
 
@@ -243,30 +239,25 @@ def time_map_dynamic(
     b: Boost,
     m0: float = 1.0,
     e: float = 1.0,
-    threshold: float = DEGENERACY_THRESHOLD,
-    spread_tol: float = 1e-6,
-    motion_check_tol: float | None = 1e-3,
 ) -> TimeMap:
     """Time-course map extracted from 4-force component ratios.
 
     For every sample the K'-frame 4-force f'^k is boosted to K and divided,
     component by component, by the K-frame 4-force f^i on the boosted state:
     each well-defined ratio equals dt/dt'.  Components with |f^i| below
-    ``threshold`` times the local force scale are excluded; a sample with no
-    surviving component (e.g. a free particle) raises
+    ``DEGENERACY_THRESHOLD`` times the local force scale are excluded; a
+    sample with no surviving component (e.g. a free particle) raises
     :class:`DegenerateForceError`, and surviving ratios that disagree by
-    more than ``spread_tol`` raise :class:`TimeMapInconsistencyError`.
+    more than ``SPREAD_TOL`` raise :class:`TimeMapInconsistencyError`.
 
     The returned g takes, per sample, the ratio at the best-conditioned
     component (largest |f^i|), which is immune to the roundoff blow-up that
-    near-degenerate components suffer.  ``motion_check_tol`` controls the
-    precondition spot-check that the worldline actually solves the motion
-    for a particle (m0, e) in ``f_prime`` (set None to skip); the charge
-    cancels in the ratios themselves.
+    near-degenerate components suffer.  A precondition spot-check, bounded
+    by ``MOTION_CHECK_TOL``, confirms that the worldline solves the motion
+    for a particle (m0, e) in ``f_prime``; the charge cancels in the ratios
+    themselves.
     """
-    num, denom, _, _, _ = _dynamic_ratio_table(
-        w_prime, f_prime, b, m0, e, threshold, spread_tol, motion_check_tol
-    )
+    num, denom, _, _, _ = _dynamic_ratio_table(w_prime, f_prime, b, m0, e, DEGENERACY_THRESHOLD)
     best = np.argmax(np.abs(denom), axis=1)
     rows = np.arange(len(w_prime))
     g = num[rows, best] / denom[rows, best]
@@ -302,18 +293,14 @@ def index_independence_report(
     m0: float = 1.0,
     e: float = 1.0,
     threshold: float = DEGENERACY_THRESHOLD,
-    spread_tol: float = 1e-6,
-    motion_check_tol: float | None = 1e-3,
 ) -> IndexIndependenceReport:
     """Measure how index-independent the dynamic ratios g_i really are.
 
     Raises :class:`TimeMapInconsistencyError` if any sample's defined
-    components spread wider than ``spread_tol``; raising ``threshold``
+    components spread wider than ``SPREAD_TOL``; raising ``threshold``
     trades coverage near force nodes for a tighter spread.
     """
-    _, _, defined, ratios, spread = _dynamic_ratio_table(
-        w_prime, f_prime, b, m0, e, threshold, spread_tol, motion_check_tol
-    )
+    _, _, defined, ratios, spread = _dynamic_ratio_table(w_prime, f_prime, b, m0, e, threshold)
     return IndexIndependenceReport(
         t_prime=w_prime.t,
         ratios=ratios,

@@ -23,7 +23,6 @@ from .chronometry import (
     time_map_ratio,
 )
 from .dynamics import IntegrationError
-from .frames import FRAME_KPRIME, Boost
 from .scenarios import (
     ScenarioConfigError,
     _read_worldline_file,
@@ -76,15 +75,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_timemap(args: argparse.Namespace) -> int:
-    w, v0, field, m0, e = _read_worldline_file(args.worldline)
-    if args.v0 is not None:
-        v0 = args.v0
-    if v0 is None:
-        raise ScenarioConfigError("--v0 required (no sidecar value found)")
-    if not abs(v0) < 1.0:
-        raise ScenarioConfigError(f"v0: |v0| must be < 1, got {v0}")
-    # K' files map forward (dt/dt'); K files map back to K' (dt'/dt)
-    b = Boost(v0) if w.frame_tag == FRAME_KPRIME else Boost(v0).inverse()
+    w, b, field, m0, e = _read_worldline_file(args.worldline, args.v0)
     if args.method == "kinematic":
         tm = time_map_kinematic(w, b)
     elif args.method == "ratio":

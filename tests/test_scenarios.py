@@ -1,7 +1,9 @@
 """Scenario configs, the run pipeline, artifact files and the CLI surface."""
 
+import copy
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from chronodyn.chronometry import DegenerateForceError
+from chronodyn import cli
 from chronodyn.frames import Boost, inverse_kinematic_g, load_worldline_csv
 from chronodyn.scenarios import (
     ScenarioConfigError,
@@ -32,6 +34,10 @@ README_PERTURB = {
     "t_span": [0.0, 12.566],
     "dt": 0.002,
 }
+
+
+OSC_DRIFT = {"kind": "osc_drift", "a_prime": [0.2, 0.0, 0.0], "omega_prime": 1.0,
+             "u0_prime": [0.1, 0.0, 0.0]}
 
 
 def _cyclotron_cfg(**overrides):
@@ -199,7 +205,7 @@ def test_run_osc_drift_dynamic_is_degenerate(tmp_path):
         },
         timemap_method="dynamic",
     )
-    with pytest.raises(DegenerateForceError):
+    with pytest.raises(ScenarioConfigError):
         run_scenario(parse_scenario(cfg), tmp_path)
 
 
@@ -411,6 +417,12 @@ def _edited_sidecar(edit):
     return build
 
 
+def _osc_drift_kprime_file(tmp_path):
+    sim = tmp_path / "sim"
+    run_scenario(parse_scenario(_cyclotron_cfg(analytic=OSC_DRIFT)), sim)
+    return ["timemap", str(sim / "worldline_kprime.csv"), "--method", "dynamic"]
+
+
 def _unwritable_out(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
@@ -472,6 +484,32 @@ CONFIG_ERROR_CASES = {
         _edited_sidecar(lambda meta: meta.update(field=[1, 2])),
         "worldline_kprime.meta.json: field"),
     "unwritable-out": (_unwritable_out, "blocker"),
+    "v0-beyond-float-range": (
+        lambda tmp: ["simulate", _json_file(tmp / "sc.json", _cyclotron_cfg(v0=10**400))],
+        "v0",
+    ),
+    "periods-overflow-the-grid": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _cyclotron_cfg(time_grid={"periods": 1e308}))],
+        "time_grid.periods",
+    ),
+    "perturb-step-count-overflows": (
+        lambda tmp: ["perturb", _json_file(
+            tmp / "p.json", {**README_PERTURB, "t_span": [0, 1e308], "dt": 1e-300})],
+        "dt",
+    ),
+    "sidecar-boost-v0-beyond-float-range": (
+        _edited_sidecar(lambda meta: meta["boost"].update(v0=10**400)), "boost.v0"),
+    "sidecar-particle-m0-negative": (
+        _edited_sidecar(lambda meta: meta.update(particle={"m0": -1, "e": -1})), "particle.m0"),
+    "sidecar-particle-m0-zero": (
+        _edited_sidecar(lambda meta: meta["particle"].update(m0=0)), "particle.m0"),
+    "osc-drift-dynamic-simulate": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _cyclotron_cfg(analytic=OSC_DRIFT, timemap_method="dynamic"))],
+        "timemap_method",
+    ),
+    "osc-drift-dynamic-timemap": (_osc_drift_kprime_file, "field"),
 }
 
 
@@ -485,8 +523,73 @@ def test_cli_config_errors_exit_2_naming_the_field(tmp_path, case):
     proc = _cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr
+    assert len(proc.stderr) < 400  # never echoes a 400-digit integer
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["kinematic", "ratio", "dynamic"])
+def test_cli_timemap_on_kprime_file_matches_simulate(tmp_path, method):
+    cfg = _json_file(tmp_path / "sc.json", _cyclotron_cfg(timemap_method=method))
+    sim, tm = tmp_path / "sim", tmp_path / "tm"
+    assert cli.main(["simulate", cfg, "--out", str(sim)]) == 0
+    kprime = str(sim / "worldline_kprime.csv")
+    assert cli.main(["timemap", kprime, "--method", method, "--out", str(tm)]) == 0
+    assert (tm / "timemap.csv").read_bytes() == (sim / "timemap.csv").read_bytes()
+
+
+# -- seeded fuzz of the CLI --------------------------------------------------
+
+FUZZ_BASES = (
+    ("simulate", _cyclotron_cfg(
+        time_grid={"periods": 1.5, "per_period": 100}, timemap_method="dynamic")),
+    ("simulate", _field_cfg(integrator={"method": "rk4", "dt": 0.01, "n_steps": 200})),
+    ("perturb", {**README_PERTURB, "t_span": [0.0, 2.0], "dt": 0.01}),
+)
+FUZZ_VALUES = (None, True, "abc", [1, 2], {"a": 1}, 1e308, 10**400)
+DROP = object()
+
+
+def _slots(node):
+    """(container, key) of every value nested in a JSON config, objects and arrays too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _fuzzed(rng, base):
+    cfg = copy.deepcopy(base)
+    for _ in range(rng.choice((1, 2))):
+        node, key = rng.choice(list(_slots(cfg)))
+        value = rng.choice((*FUZZ_VALUES, DROP))
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_fuzz_exits_0_2_or_3_and_leaves_no_files_on_failure(tmp_path):
+    rng = random.Random(7)
+    failures = []
+    for i in range(200):
+        command, base = rng.choice(FUZZ_BASES)
+        cfg = _fuzzed(rng, base)
+        out = tmp_path / f"out{i}"
+        argv = [command, _json_file(tmp_path / f"cfg{i}.json", cfg), "--out", str(out)]
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a traceback at the CLI boundary
+            failures.append(f"run {i}: {type(exc).__name__}: {str(exc)[:80]}")
+            continue
+        if code not in (0, 2, 3):
+            failures.append(f"run {i}: exit {code}")
+        elif code != 0 and out.exists() and any(out.iterdir()):
+            failures.append(f"run {i}: exit {code} left {sorted(p.name for p in out.iterdir())}")
+    assert not failures, "\n".join(failures)
 
 
 def test_cli_verify_list():
