@@ -60,6 +60,9 @@ class CyclotronParams:
             raise ValueError("rest mass must be positive")
         if self.e == 0.0:
             raise ValueError("charge must be nonzero for cyclotron motion")
+        if not 0.0 < abs(self.omega_prime) < math.inf:
+            raise ValueError(f"rotation frequency e*B'/(m0*gamma) must be finite and nonzero, "
+                             f"got {self.omega_prime}")
         r0 = np.asarray(self.r0_prime, dtype=float)
         if r0.shape != (3,):
             raise ValueError("r0_prime must be a 3-vector")
@@ -171,6 +174,8 @@ class UniformEParams:
             raise ValueError("E_prime must be nonzero")
         if self.m0 <= 0.0:
             raise ValueError("rest mass must be positive")
+        if self.e == 0.0:
+            raise ValueError("charge must be nonzero for uniform-field motion")
         E.flags.writeable = False
         r0.flags.writeable = False
         object.__setattr__(self, "E_prime", E)

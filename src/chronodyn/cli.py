@@ -14,14 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .chronometry import (
-    DegenerateForceError,
-    TimeMapInconsistencyError,
-    save_time_map_csv,
-    time_map_dynamic,
-    time_map_kinematic,
-    time_map_ratio,
-)
+from .chronometry import DegenerateForceError, TimeMapInconsistencyError, save_time_map_csv
 from .dynamics import IntegrationError
 from .scenarios import (
     ScenarioConfigError,
@@ -30,6 +23,7 @@ from .scenarios import (
     load_scenario,
     run_perturb,
     run_scenario,
+    time_map,
 )
 
 EXIT_OK = 0
@@ -76,19 +70,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_timemap(args: argparse.Namespace) -> int:
     w, b, field, m0, e = _read_worldline_file(args.worldline, args.v0)
-    if args.method == "kinematic":
-        tm = time_map_kinematic(w, b)
-    elif args.method == "ratio":
-        tm = time_map_ratio(w, b)
-    else:
-        if field is None:
-            raise ScenarioConfigError("dynamic method needs field data in the sidecar")
-        tm = time_map_dynamic(w, field, b, m0=m0, e=e)
+    tm, block = time_map(w, b, args.method, field, m0, e)
     out_dir = _default_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "timemap.csv"
-    save_time_map_csv(tm, out_path)
-    print(f"wrote {out_path} ({tm.t_prime.shape[0]} samples, method={args.method})")
+    save_time_map_csv(tm, out_dir / "timemap.csv")
+    print(json.dumps(block, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -33,13 +33,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic
 from .chronometry import (
+    TimeMap,
     period_map_numeric,
     save_time_map_csv,
     simultaneity_series,
@@ -66,6 +69,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "run_scenario",
+    "time_map",
     "build_force",
     "load_perturb_config",
     "run_perturb",
@@ -108,17 +112,10 @@ def _section(cfg: dict, key: str, default=None, kind: type = dict, source=None):
 
 
 def _vec3(value, ctx: str) -> np.ndarray:
-    try:
-        v = np.asarray(value, dtype=float)
-    except OverflowError:
-        raise ScenarioConfigError(f"{ctx}: integer beyond float range") from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioConfigError(f"{ctx}: not a numeric 3-vector: {value!r}") from exc
-    if v.shape != (3,):
-        raise ScenarioConfigError(f"{ctx}: expected 3 components, got {value!r}")
-    if not np.all(np.isfinite(v)):
-        raise ScenarioConfigError(f"{ctx}: components must be finite, got {value!r}")
-    return v
+    """A 3-vector: a JSON array of three numbers, each read by ``_number``."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3):
+        raise ScenarioConfigError(f"{ctx}: expected an array of 3 numbers, got {value!r:.60}")
+    return np.array([_number(x, f"{ctx}[{i}]") for i, x in enumerate(value)])
 
 
 def _number(value, ctx: str) -> float:
@@ -184,19 +181,23 @@ def _load_json(path) -> dict:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario ready to run."""
+    """A validated scenario ready to run, its motion resolved by the parser.
+
+    ``worldline()`` samples or integrates the motion, which solves ``field``
+    (None for a kinematic law).  ``period`` is the motion's closed-form
+    (T', T) and ``companion`` the maker of the alpha + pi cyclotron
+    worldline with the closed-form envelope of its simultaneity split; each
+    is None where the motion has none.
+    """
 
     name: str
     v0: float
     m0: float
     e: float
-    analytic_kind: str | None
-    analytic_params: object | None
+    worldline: Callable[[], Worldline]
     field: FieldConfig | None
-    initial_r: np.ndarray | None
-    initial_u: np.ndarray | None
-    integrator: IntegratorConfig | None
-    t_grid: tuple[float, float, int] | None
+    period: tuple[float, float] | None
+    companion: tuple[Callable[[], Worldline], float] | None
     timemap_method: str
     outputs: tuple[str, ...]
 
@@ -205,7 +206,8 @@ def parse_scenario(cfg: dict) -> Scenario:
     """Validate a scenario dictionary; raises ScenarioConfigError naming the field.
 
     ``Scenario.field`` is the field the motion solves: the given one, B'z for
-    a cyclotron, E' for uniform_e and None for osc_drift.
+    a cyclotron, E' for uniform_e and None for osc_drift.  The cyclotron and
+    osc_drift laws carry a period, and the cyclotron a companion.
     """
     if not isinstance(cfg, dict):
         raise ScenarioConfigError("scenario: top level must be a JSON object")
@@ -229,14 +231,16 @@ def parse_scenario(cfg: dict) -> Scenario:
         if o not in ALL_OUTPUTS:
             raise ScenarioConfigError(f"outputs: unknown output {o!r}")
 
-    kind = params = r0 = u0 = icfg = t_grid = None
+    kind = period = companion = None
     if has_field:
         field = _field(_section(cfg, "field"), "field")
         init = _section(cfg, "initial")
         r0 = _vec3(_need(init, "r", "initial"), "initial.r")
         u0 = _vec3(_need(init, "u", "initial"), "initial.u")
-        if not float(u0 @ u0) < 1.0:
-            raise ScenarioConfigError("initial.u: speed must be < 1")
+        try:
+            state = ParticleState(t=0.0, r=r0, u=u0, m0=m0, e=e)
+        except ValueError as exc:
+            raise ScenarioConfigError(f"initial.u: {exc}") from exc
         integ = _section(cfg, "integrator")
         try:
             icfg = IntegratorConfig(
@@ -246,6 +250,7 @@ def parse_scenario(cfg: dict) -> Scenario:
             )
         except ValueError as exc:
             raise ScenarioConfigError(f"integrator: {exc}") from exc
+        worldline = partial(integrate, state, field, icfg)
     else:
         spec = _section(cfg, "analytic")
         kind = str(_need(spec, "kind", "analytic"))
@@ -263,6 +268,7 @@ def parse_scenario(cfg: dict) -> Scenario:
                     m0=m0, e=e,
                 )
                 field = FieldConfig(E=np.zeros(3), B=np.array([0.0, 0.0, params.B_prime]))
+                sampler, period_map = analytic.cyclotron_worldline, analytic.magnetic_period_map
             elif kind == "uniform_e":
                 params = analytic.UniformEParams(
                     E_prime=_vec3(_need(spec, "E_prime", "analytic"), "analytic.E_prime"),
@@ -270,6 +276,7 @@ def parse_scenario(cfg: dict) -> Scenario:
                     r0_prime=_vec3(spec.get("r0_prime", [0, 0, 0]), "analytic.r0_prime"),
                 )
                 field = FieldConfig(E=params.E_prime, B=np.zeros(3))
+                sampler, period_map = analytic.uniform_e_worldline, None
             else:
                 params = analytic.OscDriftParams(
                     a_prime=_vec3(_need(spec, "a_prime", "analytic"), "analytic.a_prime"),
@@ -279,14 +286,15 @@ def parse_scenario(cfg: dict) -> Scenario:
                     u0_prime=_vec3(spec.get("u0_prime", [0, 0, 0]), "analytic.u0_prime"),
                 )
                 field = None  # a kinematic law, not a field solution
+                sampler, period_map = analytic.osc_drift_worldline, analytic.osc_drift_period_map
         except ValueError as exc:
             raise ScenarioConfigError(f"analytic: {exc}") from exc
 
         grid = _section(cfg, "time_grid")
         if "periods" in grid:
-            if kind == "uniform_e":
+            if period_map is None:
                 raise ScenarioConfigError(
-                    "time_grid: 'periods' form needs a periodic motion; uniform_e has none"
+                    f"time_grid: 'periods' form needs a periodic motion; {kind} has none"
                 )
             periods = _number(grid["periods"], "time_grid.periods")
             per_period = _integer(grid.get("per_period", 1000), "time_grid.per_period")
@@ -303,36 +311,28 @@ def parse_scenario(cfg: dict) -> Scenario:
         if not (t_grid[1] > t_grid[0] and t_grid[2] >= 2):
             raise ScenarioConfigError("time_grid: need t1 > t0 and n >= 2")
 
+        worldline = partial(sampler, params, *t_grid)
+        b = Boost(v0)
+        if period_map is not None:
+            period = period_map(params, b)
+        if kind == "cyclotron":
+            twin = replace(params, alpha=params.alpha + np.pi)
+            envelope = abs(2.0 * b.gamma * b.v0 * params.u0_prime / params.omega_prime)
+            companion = (partial(sampler, twin, *t_grid), envelope)
+
     if method == "dynamic" and field is None:
         raise ScenarioConfigError(
             f"timemap_method: dynamic needs a field, and the {kind} law has none"
         )
     return Scenario(
-        name=name, v0=v0, m0=m0, e=e,
-        analytic_kind=kind, analytic_params=params,
-        field=field, initial_r=r0, initial_u=u0, integrator=icfg,
-        t_grid=t_grid, timemap_method=method, outputs=outputs,
+        name=name, v0=v0, m0=m0, e=e, worldline=worldline, field=field,
+        period=period, companion=companion, timemap_method=method, outputs=outputs,
     )
 
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
     return parse_scenario(_load_json(path))
-
-
-def _make_worldline(sc: Scenario) -> Worldline:
-    if sc.analytic_kind is not None:
-        t0, t1, n = sc.t_grid
-        sampler = {
-            "cyclotron": analytic.cyclotron_worldline,
-            "uniform_e": analytic.uniform_e_worldline,
-            "osc_drift": analytic.osc_drift_worldline,
-        }[sc.analytic_kind]
-        return sampler(sc.analytic_params, t0, t1, n)
-    state = ParticleState(
-        t=0.0, r=sc.initial_r, u=sc.initial_u, m0=sc.m0, e=sc.e, frame_tag=FRAME_KPRIME
-    )
-    return integrate(state, sc.field, sc.integrator)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -387,6 +387,41 @@ def _read_worldline_file(path, v0=None) -> tuple[Worldline, Boost, FieldConfig |
     return w, b if frame_tag == FRAME_KPRIME else b.inverse(), field, m0, e
 
 
+def time_map(
+    w: Worldline, b: Boost, method: str, field: FieldConfig | None, m0: float, e: float
+) -> tuple[TimeMap, dict]:
+    """The ``method`` route's time map of ``w`` and the summary block it reports.
+
+    The block names the method and gives g's range, the elapsed-time ratio
+    and the largest difference between the kinematic g and each other route
+    computed.  The dynamic route needs a field and a charge: a neutral
+    particle feels no 4-force, so e = 0 is a config error.
+    """
+    if method == "dynamic" and field is None:
+        raise ScenarioConfigError("dynamic method needs field data in the sidecar")
+    if method == "dynamic" and e == 0.0:
+        raise ScenarioConfigError("particle.e: the dynamic method needs a charge, got e = 0")
+    tm_kin = time_map_kinematic(w, b)
+    tm_ratio = time_map_ratio(w, b)
+    agreement = {"kinematic_vs_ratio": float(np.abs(tm_kin.g - tm_ratio.g).max())}
+    if method == "kinematic":
+        tm = tm_kin
+    elif method == "ratio":
+        tm = tm_ratio
+    else:
+        tm = time_map_dynamic(w, field, b, m0=m0, e=e)
+        agreement["kinematic_vs_dynamic"] = float(np.abs(tm_kin.g - tm.g).max())
+    return tm, {
+        "method": method,
+        "g_min": float(tm.g.min()),
+        "g_max": float(tm.g.max()),
+        "elapsed_t_over_elapsed_t_prime": float(
+            tm.t_accumulated[-1] / (tm.t_prime[-1] - tm.t_prime[0])
+        ),
+        "agreement": agreement,
+    }
+
+
 def run_scenario(sc: Scenario, out_dir) -> dict:
     """Execute a scenario and write its artifact files; returns the summary.
 
@@ -397,33 +432,15 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     is computed before the first write, so a failed run leaves no files.
     """
     b = Boost(sc.v0)
-    w_prime = _make_worldline(sc)
+    w_prime = sc.worldline()
     w_lab = boost_worldline(w_prime, b) if "boosted_worldline" in sc.outputs else None
+    tm, tm_block = time_map(w_prime, b, sc.timemap_method, sc.field, sc.m0, sc.e)
     summary: dict = {
         "scenario": sc.name,
         "v0": sc.v0,
         "gamma": b.gamma,
         "n_samples": len(w_prime),
-    }
-
-    tm_kin = time_map_kinematic(w_prime, b)
-    tm_ratio = time_map_ratio(w_prime, b)
-    agreement = {"kinematic_vs_ratio": float(np.abs(tm_kin.g - tm_ratio.g).max())}
-    if sc.timemap_method == "kinematic":
-        tm = tm_kin
-    elif sc.timemap_method == "ratio":
-        tm = tm_ratio
-    else:
-        tm = time_map_dynamic(w_prime, sc.field, b, m0=sc.m0, e=sc.e)
-        agreement["kinematic_vs_dynamic"] = float(np.abs(tm_kin.g - tm.g).max())
-    summary["timemap"] = {
-        "method": sc.timemap_method,
-        "g_min": float(tm.g.min()),
-        "g_max": float(tm.g.max()),
-        "elapsed_t_over_elapsed_t_prime": float(
-            tm.t_accumulated[-1] / (tm.t_prime[-1] - tm.t_prime[0])
-        ),
-        "agreement": agreement,
+        "timemap": tm_block,
     }
 
     audit = None
@@ -434,8 +451,8 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
             "max_relative_drift": audit.max_relative_drift,
         }
 
-    summary["period"] = _period_summary(sc, w_prime, b)
-    summary["simultaneity"] = _simultaneity_summary(sc, w_prime, b)
+    summary["period"] = _period_summary(w_prime, b, sc.period)
+    summary["simultaneity"] = _simultaneity_summary(w_prime, b, sc.companion)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -458,15 +475,11 @@ def run_scenario(sc: Scenario, out_dir) -> dict:
     return summary
 
 
-def _period_summary(sc: Scenario, w_prime: Worldline, b: Boost) -> dict | None:
-    if sc.analytic_kind == "cyclotron":
-        t_prime, t_lab = analytic.magnetic_period_map(sc.analytic_params, b)
-    elif sc.analytic_kind == "osc_drift":
-        t_prime, t_lab = analytic.osc_drift_period_map(sc.analytic_params, b)
-    else:
+def _period_summary(w_prime: Worldline, b: Boost, period) -> dict | None:
+    """The closed-form period pair beside the numeric K-time over one period."""
+    if period is None or w_prime.t[-1] - w_prime.t[0] < period[0]:
         return None
-    if w_prime.t[-1] - w_prime.t[0] < t_prime:
-        return None
+    t_prime, t_lab = period
     numeric = period_map_numeric(w_prime, b, t_prime, float(w_prime.t[0]), window=1.0)
     return {
         "T_prime": t_prime,
@@ -477,19 +490,12 @@ def _period_summary(sc: Scenario, w_prime: Worldline, b: Boost) -> dict | None:
     }
 
 
-def _simultaneity_summary(sc: Scenario, w_prime: Worldline, b: Boost) -> dict | None:
-    if sc.analytic_kind != "cyclotron":
+def _simultaneity_summary(w_prime: Worldline, b: Boost, companion) -> dict | None:
+    """Largest K-time split of events simultaneous in K' on the two worldlines."""
+    if companion is None:
         return None
-    p1 = sc.analytic_params
-    p2 = analytic.CyclotronParams(
-        u0_prime=p1.u0_prime, B_prime=p1.B_prime, alpha=p1.alpha + np.pi,
-        r0_prime=p1.r0_prime, m0=p1.m0, e=p1.e,
-    )
-    w2 = analytic.cyclotron_worldline(
-        p2, float(w_prime.t[0]), float(w_prime.t[-1]), len(w_prime)
-    )
-    series = simultaneity_series(w_prime, w2, b)
-    envelope = abs(2.0 * b.gamma * b.v0 * p1.u0_prime / p1.omega_prime)
+    make_twin, envelope = companion
+    series = simultaneity_series(w_prime, make_twin(), b)
     return {
         "companion_phase_offset": float(np.pi),
         "envelope_closed_form": envelope,

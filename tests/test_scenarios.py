@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from chronodyn import cli
+from chronodyn import chronometry, cli
+from chronodyn.chronometry import TimeMapInconsistencyError, index_independence_report
+from chronodyn.dynamics import FieldConfig
 from chronodyn.frames import Boost, inverse_kinematic_g, load_worldline_csv
 from chronodyn.scenarios import (
     ScenarioConfigError,
@@ -21,6 +23,7 @@ from chronodyn.scenarios import (
     parse_scenario,
     run_perturb,
     run_scenario,
+    time_map,
 )
 
 # the perturbation example of the README
@@ -228,6 +231,82 @@ def test_bundled_outputs_match_golden_hashes(tmp_path):
     }
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
     assert written == sorted(golden)
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# one small run per motion source (sampler, RK4, Boris) and time-map route: however
+# the parser resolves a motion, these files must stay byte for byte the same
+KIND_PINS = {
+    "uniform_e-ratio": (
+        _cyclotron_cfg(analytic={"kind": "uniform_e", "E_prime": [1.0, 0.0, 0.0]},
+                       time_grid={"t0": 0.0, "t1": 3.0, "n": 601}, timemap_method="ratio"),
+        {
+            "energy.csv": "578829c703926498d1e10b1270b6450b5c6f635675503594ce470d4cfcb06ee7",
+            "summary.json": "313e9925252666224c7568f66a6745543b778d481e2a934a4978b4c76a28f658",
+            "timemap.csv": "e0c90de1028aa5d0a7b3fd4599c01646a35a52833f5bb57c8590a5833999403b",
+            "worldline_k.csv": "39c940145c794c690bc7840ee73f529092e370e037d182610d1256c30210d69c",
+            "worldline_k.meta.json":
+                "9b4863acb71f5f186de4f490aefa6ad70dfe66a7c12ad59600ee55f50f29d1b5",
+            "worldline_kprime.csv":
+                "a63a50fd6002ca2d637bdc929a24a62d8c2d4a7def101ade508efcb88492db28",
+            "worldline_kprime.meta.json":
+                "08595881a1d0f1fcd694ef3c8b847ca3ef03d2fc2c3ba77f359ca2fc26bfe360",
+        },
+    ),
+    "osc_drift-kinematic": (
+        _cyclotron_cfg(analytic=OSC_DRIFT, time_grid={"periods": 1.5, "per_period": 400}),
+        {
+            "summary.json": "e1944dbc35f5e9463e133fa419599a9f37adbac7f0c2819534ada91c407a0eae",
+            "timemap.csv": "3890d9bfba60e81515d7f80de259ff7b4012e59ba41cf511e5c8216759a445a2",
+            "worldline_k.csv": "f9c15e10087367fe6650614696910496d0b851c108f950e38632734edf1d57ba",
+            "worldline_k.meta.json":
+                "9b4863acb71f5f186de4f490aefa6ad70dfe66a7c12ad59600ee55f50f29d1b5",
+            "worldline_kprime.csv":
+                "a571329b824722737c7764d40e6ebce522630ab8f1d6244cc9136b69b361c10f",
+            "worldline_kprime.meta.json":
+                "0a37768d1cb2cf21f450ec46925358ea680f6f47b8a36c6c1fce8a14873425f6",
+        },
+    ),
+    "rk4-dynamic": (
+        _field_cfg(integrator={"method": "rk4", "dt": 0.01, "n_steps": 600}),
+        {
+            "energy.csv": "5e74aac7e04f6ce69f87afb2b8107380f450a06217d022749b14944e5cefd46a",
+            "summary.json": "be748cb0d30a7bc20997997a17ecb1e44b397a292f80b0a2b37822964b1f3641",
+            "timemap.csv": "dabc2f4b871474118646e24db39b05289d1e1bdbeba528d23a0515d3d54ff45d",
+            "worldline_k.csv": "b6feee2fd1125958f5490c14012c28a79aad276e9d195d840c5b0074ef265d09",
+            "worldline_k.meta.json":
+                "128df6839726c423b7e680a5e6aea4cb4b45fe5120ef8b87b693016f4dd033cf",
+            "worldline_kprime.csv":
+                "86c05773d54e154d0d2dfaa100cc127ae6cfc09ff65a85b87ebde6c6e6d8f01c",
+            "worldline_kprime.meta.json":
+                "963b5cc601610f40b38eafe9e1b8ad94e8ba6cb71010690dd9faad1a4a1e058c",
+        },
+    ),
+    "boris-dynamic": (
+        _field_cfg(field={"E": [0.2, 0.0, 0.0], "B": [0.0, 0.0, 1.0]},
+                   integrator={"method": "boris", "dt": 0.005, "n_steps": 600}),
+        {
+            "energy.csv": "e2236840f24bfff640ae21699f504ee3c2fad12c4567240bfbdb5f8f4c2a1dc0",
+            "summary.json": "4fee88d89df17b4a11f6d60753dad2da079dbd8313d522e0b48a5337bd0587af",
+            "timemap.csv": "5a7f8f5e8d6234834a495a304d1be7719394264b25db9e1c04a7b7c1534468f7",
+            "worldline_k.csv": "c219016ef06bff19e52140b54ea502bec6b62d5cac2bf434ebbb09287d30b2f5",
+            "worldline_k.meta.json":
+                "128df6839726c423b7e680a5e6aea4cb4b45fe5120ef8b87b693016f4dd033cf",
+            "worldline_kprime.csv":
+                "45b18f76c55c0ddbafbab9e94df787092eaeb7d74197160e90900b4bd9e1ada2",
+            "worldline_kprime.meta.json":
+                "ec53cedf85f5f021212953c21ac5292c899e65ac24eee9cb206cc8825d7cf201",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_PINS))
+def test_motion_kinds_match_golden_hashes(tmp_path, case):
+    cfg, golden = KIND_PINS[case]
+    run_scenario(parse_scenario(cfg), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
     for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -510,6 +589,30 @@ CONFIG_ERROR_CASES = {
         "timemap_method",
     ),
     "osc-drift-dynamic-timemap": (_osc_drift_kprime_file, "field"),
+    "vector-boolean-component": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _field_cfg(field={"E": [True, 0, 0], "B": [0, 0, 1]}))],
+        "field.E",
+    ),
+    "uniform-e-neutral-particle": (
+        lambda tmp: ["simulate", _json_file(tmp / "sc.json", _cyclotron_cfg(
+            analytic={"kind": "uniform_e", "E_prime": [1.0, 0.0, 0.0]},
+            time_grid={"t0": 0.0, "t1": 3.0, "n": 31}, particle={"m0": 1.0, "e": 0}))],
+        "analytic",
+    ),
+    "dynamic-neutral-particle-simulate": (
+        lambda tmp: ["simulate", _json_file(
+            tmp / "sc.json", _field_cfg(particle={"m0": 1.0, "e": 0}))],
+        "particle.e",
+    ),
+    "dynamic-neutral-particle-timemap": (
+        _edited_sidecar(lambda meta: meta["particle"].update(e=0)), "particle.e"),
+    "cyclotron-frequency-underflows": (
+        lambda tmp: ["simulate", _json_file(tmp / "sc.json", _cyclotron_cfg(
+            analytic={"kind": "cyclotron", "u0_prime": 0.3, "B_prime": 1e-200},
+            particle={"m0": 1.0, "e": 1e-200}))],
+        "analytic",
+    ),
 }
 
 
@@ -536,6 +639,43 @@ def test_cli_timemap_on_kprime_file_matches_simulate(tmp_path, method):
     kprime = str(sim / "worldline_kprime.csv")
     assert cli.main(["timemap", kprime, "--method", method, "--out", str(tm)]) == 0
     assert (tm / "timemap.csv").read_bytes() == (sim / "timemap.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["kinematic", "ratio", "dynamic"])
+def test_cli_timemap_prints_the_summary_timemap_block(tmp_path, capsys, method):
+    cfg = json.loads(bundled_scenario_path("cyclotron").read_text())
+    sim = tmp_path / "sim"
+    run_scenario(parse_scenario({**cfg, "timemap_method": method}), sim)
+    kprime = str(sim / "worldline_kprime.csv")
+    assert cli.main(["timemap", kprime, "--method", method, "--out", str(tmp_path / "tm")]) == 0
+    summary = json.loads((sim / "summary.json").read_text())
+    assert json.loads(capsys.readouterr().out) == summary["timemap"]
+
+
+def _bundled_motion():
+    sc = load_scenario(bundled_scenario_path("cyclotron"))
+    return sc, sc.worldline(), Boost(sc.v0)
+
+
+def test_dynamic_spread_gate_refuses_half_the_measured_spread(monkeypatch):
+    # a slightly wrong field leaves the spread at roundoff, so the tolerance is moved instead
+    sc, w, b = _bundled_motion()
+    spread = index_independence_report(w, sc.field, b).max_spread
+    assert 0.0 < spread < chronometry.SPREAD_TOL
+    monkeypatch.setattr(chronometry, "SPREAD_TOL", spread / 2)
+    with pytest.raises(TimeMapInconsistencyError, match="max spread"):
+        time_map(w, b, "dynamic", sc.field, sc.m0, sc.e)
+    monkeypatch.setattr(chronometry, "SPREAD_TOL", spread * 2)
+    time_map(w, b, "dynamic", sc.field, sc.m0, sc.e)
+
+
+def test_dynamic_motion_check_refuses_2e_3_and_passes_5e_4():
+    sc, w, b = _bundled_motion()
+    off_by_2e_3 = FieldConfig(E=np.zeros(3), B=np.array([0.0, 0.0, 1.002]))
+    with pytest.raises(ValueError, match=r"relative residual 1\.999e-03 > 1\.0e-03"):
+        time_map(w, b, "dynamic", off_by_2e_3, sc.m0, sc.e)
+    off_by_5e_4 = FieldConfig(E=np.zeros(3), B=np.array([0.0, 0.0, 1.0005]))
+    time_map(w, b, "dynamic", off_by_5e_4, sc.m0, sc.e)  # relative residual 5.03e-4
 
 
 # -- seeded fuzz of the CLI --------------------------------------------------
